@@ -7,9 +7,10 @@
 // I/O phases, loops, and per-rank behavioral divergence that flat
 // aggregates cannot expose.
 //
-// Graphs are mined straight off the store's pools through the public
-// accessor seam (BatchAccess / ViewAccess): owned batches and zero-copy
-// IOTB2 views feed identical graphs, and nothing is materialized. Node and
+// Graphs are mined straight off the store's pools through its scan
+// driver (UnifiedTraceStore::scan): owned batches, zero-copy IOTB2 views
+// and block-backed IOTB3 containers feed identical graphs, nothing is
+// materialized, and the store's ScanPolicy applies as for its queries. Node and
 // edge keys are interned call-name ids in the Dfg's own name table
 // (`names`), assigned in sorted-name order (id 0 stays ""), so graph
 // comparisons are id compares — and the table is independent of how the
@@ -31,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,35 @@ struct Dfg {
   bool operator==(const Dfg&) const = default;
 };
 
+/// Interns Dfg-global name ids in first-seen order (id 0 stays ""),
+/// owning copies of the strings: pool tables use per-pool ids that cannot
+/// be shared. The cold builder's merge and the live maintainer both intern
+/// through it; canonicalize() later detaches the ids from this order.
+class NameTable {
+ public:
+  NameTable() : names_{""} { index_.emplace("", 0); }
+
+  [[nodiscard]] trace::StrId intern(std::string_view s) {
+    const auto it = index_.find(std::string(s));
+    if (it != index_.end()) {
+      return it->second;
+    }
+    const auto id = static_cast<trace::StrId>(names_.size());
+    names_.emplace_back(s);
+    index_.emplace(names_.back(), id);
+    return id;
+  }
+
+  [[nodiscard]] const std::vector<std::string>& names() const noexcept {
+    return names_;
+  }
+  [[nodiscard]] std::vector<std::string> take() { return std::move(names_); }
+
+ private:
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, trace::StrId> index_;
+};
+
 struct DfgOptions {
   /// Worker threads for the per-pool partial phase: 0 = auto (hardware
   /// concurrency), 1 = serial — the same knob semantics as
@@ -158,11 +189,13 @@ struct DfgOptions {
 };
 
 /// Mines DFGs from a UnifiedTraceStore without materializing its sources:
-/// each pool is streamed once through the store's accessor seam into a
+/// each pool is streamed once through the store's scan driver into a
 /// pool-local partial graph (parallel across pools when options.threads
 /// allows), then partials are merged into Dfg-global ids in pool order
 /// with rank boundaries stitched — bit-identical results at any thread
-/// count. The store must not be mutated (ingest/compact) during build().
+/// count. Under ScanPolicy::skip_damaged, damaged blocks are skipped and
+/// counted exactly as the store's queries do. The store must not be
+/// mutated (ingest/compact) during build().
 class DfgBuilder {
  public:
   explicit DfgBuilder(const UnifiedTraceStore& store) : store_(&store) {}

@@ -1,10 +1,6 @@
 #include "analysis/dfg/dfg.h"
 
 #include <algorithm>
-#include <thread>
-#include <unordered_map>
-
-#include "util/thread_pool.h"
 
 namespace iotaxo::analysis::dfg {
 
@@ -23,9 +19,8 @@ struct RankPartial {
   std::vector<SeqEvent> sequence;
 };
 
-struct PoolPartial {
-  std::map<int, RankPartial> ranks;
-};
+/// One pool's partials, by rank.
+using PoolPartial = std::map<int, RankPartial>;
 
 void merge_edge(EdgeStats& into, const EdgeStats& from) {
   if (from.count == 0) {
@@ -43,119 +38,63 @@ void merge_edge(EdgeStats& into, const EdgeStats& from) {
   into.gap_sum += from.gap_sum;
 }
 
-/// Stream one pool through the store's accessor seam into a partial.
-/// `prefetch_threads` is the intra-pool decode budget left over once the
-/// pool-level chunking has claimed its workers.
-[[nodiscard]] PoolPartial build_pool_partial(const UnifiedTraceStore& store,
-                                             std::size_t pool,
-                                             const DfgOptions& options,
-                                             std::size_t prefetch_threads) {
-  PoolPartial partial;
-  const bool use_indexes = store.use_indexes();
-  store.with_pool_access(pool, [&](const auto& acc) {
-    // Fold one kept event into the rank's accumulating partial. Shared by
-    // the materialized-record and hot-column loops so the two paths cannot
-    // drift.
-    const auto fold = [&](int rank, SimTime duration, const SeqEvent& ev) {
-      RankPartial& rp = partial.ranks[rank];
-      NodeStats& node = rp.nodes[ev.name];
-      ++node.count;
-      node.total_duration += duration;
-      node.bytes += ev.bytes;
-      if (rp.any) {
-        add_transition(rp.edges[{rp.last.name, ev.name}],
-                       ev.start - rp.last.end, ev.bytes);
-      } else {
-        rp.first = ev;
-        rp.any = true;
-      }
-      rp.last = ev;
-      if (options.keep_sequences) {
-        rp.sequence.push_back(ev);
-      }
-    };
-    const std::size_t segments = acc.segment_count();
-    std::vector<std::size_t> touched;
-    touched.reserve(segments);
-    for (std::size_t k = 0; k < segments; ++k) {
-      // Every event the miner keeps is an I/O call, so a segment whose
-      // index says "no I/O call" contributes nothing — for block-backed
-      // pools that skip leaves the block compressed on disk.
-      if (use_indexes && !acc.segment_has_io_call(k)) {
-        continue;
-      }
-      if (acc.segment_begin(k) != acc.segment_end(k)) {
-        touched.push_back(k);
-      }
-    }
-    // The miner reads cls/name/rank/start/duration/bytes — exactly the hot
-    // column group — so projected pools decode only hot bytes, in parallel.
-    acc.segment_prefetch(touched, prefetch_threads, /*hot_only=*/true);
-    for (const std::size_t k : touched) {
-      const std::size_t seg_begin = acc.segment_begin(k);
-      const std::size_t seg_end = acc.segment_end(k);
-      const std::uint8_t* hot = acc.segment_hot_bytes(k);
-      if (hot != nullptr) {
-        for (std::size_t i = 0; i < seg_end - seg_begin; ++i) {
-          const trace::HotRecordView rec(hot +
-                                         i * trace::hotlayout::kStride);
-          if (!rec.is_io_call() || rec.rank() < 0) {
-            continue;  // probes, annotations, rank-less bookkeeping
-          }
-          if (options.rank.has_value() && rec.rank() != *options.rank) {
-            continue;
-          }
-          SeqEvent ev;
-          ev.name = rec.name();  // pool-local id; the merge remaps it
-          ev.start = rec.local_start();
-          ev.end = rec.local_start() + rec.duration();
-          ev.bytes = rec.bytes() > 0 ? rec.bytes() : 0;
-          fold(rec.rank(), rec.duration(), ev);
-        }
-        continue;
-      }
-      for (std::size_t i = seg_begin; i < seg_end; ++i) {
-        const auto& rec = acc.record(i);
-        if (!rec.is_io_call() || rec.rank < 0) {
-          continue;  // probes, annotations, rank-less bookkeeping
-        }
-        if (options.rank.has_value() && rec.rank != *options.rank) {
-          continue;
-        }
-        SeqEvent ev;
-        ev.name = rec.name;  // pool-local id; the merge remaps it
-        ev.start = rec.local_start;
-        ev.end = rec.local_start + rec.duration;
-        ev.bytes = rec.bytes > 0 ? rec.bytes : 0;
-        fold(rec.rank, rec.duration, ev);
-      }
-    }
-  });
-  return partial;
-}
+/// The pool pass as a plan over the store's scan driver: every event the
+/// miner keeps is an I/O call (so segments without one are skipped), and it
+/// reads cls/name/rank/start/duration/bytes — exactly the hot column group.
+/// Partials are per pool (keyed by pool index) for the boundary stitch.
+struct PoolPassPlan {
+  struct Partial {};
+  ScanFilter filter{.io_call = true};
+  const DfgOptions* options = nullptr;
+  std::vector<PoolPartial>* pools = nullptr;
 
-/// Interns Dfg-global name ids during the merge. Owns copies of the pool
-/// strings (pool tables use per-pool ids that cannot be shared).
-class NameTable {
- public:
-  NameTable() : names_{""} { index_.emplace("", 0); }
-
-  [[nodiscard]] trace::StrId intern(std::string_view s) {
-    const auto it = index_.find(std::string(s));
-    if (it != index_.end()) {
-      return it->second;
+  /// Fold one record into its pool's rank partial if the miner keeps it.
+  /// Shared by the hot-column and record loops so the two cannot drift.
+  void fold(PoolPartial& partial, bool io_call, int rank, trace::StrId name,
+            SimTime start, SimTime duration, Bytes bytes) const {
+    if (!io_call || rank < 0) {
+      return;  // probes, annotations, rank-less bookkeeping
     }
-    const auto id = static_cast<trace::StrId>(names_.size());
-    names_.emplace_back(s);
-    index_.emplace(names_.back(), id);
-    return id;
+    if (options->rank.has_value() && rank != *options->rank) {
+      return;
+    }
+    // name is a pool-local id; the merge remaps it.
+    const SeqEvent ev{name, start, start + duration, bytes > 0 ? bytes : 0};
+    RankPartial& rp = partial[rank];
+    NodeStats& node = rp.nodes[ev.name];
+    ++node.count;
+    node.total_duration += duration;
+    node.bytes += ev.bytes;
+    if (rp.any) {
+      add_transition(rp.edges[{rp.last.name, ev.name}], ev.start - rp.last.end,
+                     ev.bytes);
+    } else {
+      rp.first = ev;
+      rp.any = true;
+    }
+    rp.last = ev;
+    if (options->keep_sequences) {
+      rp.sequence.push_back(ev);
+    }
   }
-
-  [[nodiscard]] std::vector<std::string> take() { return std::move(names_); }
-
- private:
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, trace::StrId> index_;
+  void hot(Partial&, const std::uint8_t* hot, const ScanSegment& seg) const {
+    PoolPartial& partial = (*pools)[seg.pool];
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+      const trace::HotRecordView rec(hot + i * trace::hotlayout::kStride);
+      fold(partial, rec.is_io_call(), rec.rank(), rec.name(),
+           rec.local_start(), rec.duration(), rec.bytes());
+    }
+  }
+  template <class Acc>
+  void records(Partial&, const Acc& acc, const ScanSegment& seg) const {
+    PoolPartial& partial = (*pools)[seg.pool];
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      fold(partial, rec.is_io_call(), rec.rank, rec.name, rec.local_start,
+           rec.duration, rec.bytes);
+    }
+  }
+  void merge(Partial&, Partial&) const {}
 };
 
 }  // namespace
@@ -204,29 +143,10 @@ Dfg DfgBuilder::build(const DfgOptions& options) const {
   const UnifiedTraceStore& store = *store_;
   const std::size_t npools = store.pool_count();
 
-  // --- phase 1: per-pool partials, embarrassingly parallel ---------------
+  // --- phase 1: per-pool partials through the store's scan driver -------
   std::vector<PoolPartial> partials(npools);
-  const std::size_t threads =
-      options.threads == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : options.threads;
-  const std::size_t chunks = std::max<std::size_t>(
-      std::min(threads, npools), 1);
-  // Threads not consumed by pool-level chunking go to block-parallel
-  // decode inside each pool (the single-big-cold-pool case).
-  const std::size_t pf_threads = std::max<std::size_t>(threads / chunks, 1);
-  const auto build_chunk = [&](std::size_t c) {
-    const std::size_t begin = npools * c / chunks;
-    const std::size_t end = npools * (c + 1) / chunks;
-    for (std::size_t p = begin; p < end; ++p) {
-      partials[p] = build_pool_partial(store, p, options, pf_threads);
-    }
-  };
-  if (chunks <= 1) {
-    build_chunk(0);
-  } else {
-    parallel_for(chunks, build_chunk, chunks);
-  }
+  store.scan(PoolPassPlan{.options = &options, .pools = &partials},
+             options.threads);
 
   // --- phase 2: serial merge in pool (== source) order -------------------
   // Global ids are interned first-seen over pools in order, so the table —
@@ -241,7 +161,7 @@ Dfg DfgBuilder::build(const DfgOptions& options) const {
     std::vector<trace::StrId> remap;
     store.with_pool_access(p, [&](const auto& acc) {
       remap.assign(acc.string_count(), 0);
-      for (auto& [rank, rp] : partial.ranks) {
+      for (auto& [rank, rp] : partial) {
         for (const auto& [local, stats] : rp.nodes) {
           if (remap[local] == 0) {
             remap[local] = names.intern(acc.string(local));
@@ -249,7 +169,7 @@ Dfg DfgBuilder::build(const DfgOptions& options) const {
         }
       }
     });
-    for (auto& [rank, rp] : partial.ranks) {
+    for (auto& [rank, rp] : partial) {
       if (!rp.any) {
         continue;
       }

@@ -5,8 +5,7 @@
 namespace iotaxo::analysis::dfg {
 
 LiveDfg::LiveDfg(UnifiedTraceStore& store, const LiveDfgOptions& options)
-    : store_(&store), options_(options), names_{""} {
-  name_index_.emplace("", 0);
+    : store_(&store), options_(options) {
   // Catch up on everything already filed, pool by pool in store order —
   // the same order the cold builder's serial merge walks.
   const std::size_t npools = store.pool_count();
@@ -22,17 +21,6 @@ LiveDfg::LiveDfg(UnifiedTraceStore& store, const LiveDfgOptions& options)
 }
 
 LiveDfg::~LiveDfg() { store_->set_ingest_listener({}); }
-
-trace::StrId LiveDfg::intern(std::string_view s) {
-  const auto it = name_index_.find(std::string(s));
-  if (it != name_index_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<trace::StrId>(names_.size());
-  names_.emplace_back(s);
-  name_index_.emplace(names_.back(), id);
-  return id;
-}
 
 void LiveDfg::on_records(std::size_t pool, std::size_t begin,
                          std::size_t end) {
@@ -56,7 +44,7 @@ void LiveDfg::on_records(std::size_t pool, std::size_t begin,
       }
       trace::StrId g = remap[rec.name];
       if (g == 0 && rec.name != 0) {
-        g = intern(acc.string(rec.name));
+        g = names_.intern(acc.string(rec.name));
         remap[rec.name] = g;
       }
       SeqEvent ev;
@@ -90,7 +78,7 @@ void LiveDfg::on_records(std::size_t pool, std::size_t begin,
 Dfg LiveDfg::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Dfg out;
-  out.names = names_;
+  out.names = names_.names();
   out.ranks.reserve(ranks_.size());
   for (const auto& [rank, graph] : ranks_) {
     out.ranks.push_back(graph);

@@ -28,7 +28,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/dfg/dfg.h"
@@ -62,15 +61,13 @@ class LiveDfg {
 
  private:
   void on_records(std::size_t pool, std::size_t begin, std::size_t end);
-  [[nodiscard]] trace::StrId intern(std::string_view s);
 
   UnifiedTraceStore* store_;
   LiveDfgOptions options_;
   mutable std::mutex mu_;
   /// Live intern table: first-seen record order. snapshot() re-keys onto
   /// sorted-name order, so this order never leaks into results.
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, trace::StrId> name_index_;
+  NameTable names_;
   std::map<int, RankDfg> ranks_;
   std::map<int, SeqEvent> last_by_rank_;
   long long folded_ = 0;

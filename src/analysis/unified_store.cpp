@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
-#include <thread>
+#include <unordered_map>
 
 #include "analysis/store_manifest.h"
 #include "trace/scan_kernels.h"
@@ -12,7 +12,6 @@
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace iotaxo::analysis {
 
@@ -56,38 +55,14 @@ StoreMetrics& metrics() {
   return m;
 }
 
-// Queries dispatch each pool onto the public accessor seam declared in
-// unified_store.h (BatchAccess over an owned EventBatch, ViewAccess over a
-// zero-copy BatchView, BlockAccess over a lazily-decoded IOTB3 BlockView)
-// exactly once, so the per-record loops below stay monomorphized. Scans
-// walk the accessor's *segments* (whole pool for owned/view pools, one per
-// block for block-backed pools): each segment carries skip predicates from
-// its index and, when the records are serialized, raw fixed-stride bytes
-// the SIMD scan kernels run over.
-
-template <class Fn>
-decltype(auto) with_access(const trace::EventBatch& batch,
-                           const std::optional<trace::BatchView>& view,
-                           const std::optional<trace::BlockView>& blocks,
-                           Fn&& fn) {
-  if (blocks.has_value()) {
-    return fn(BlockAccess{&*blocks});
-  }
-  if (view.has_value()) {
-    return fn(ViewAccess{&*view});
-  }
-  return fn(BatchAccess{&batch});
-}
-
-/// Transfer-syscall test against the pool's cached ids (PoolIndex); id 0
+/// Transfer-syscall test against the segment's pool ids (PoolIndex); id 0
 /// (the empty string) marks "not interned in this pool" because no event
 /// has an empty name.
-[[nodiscard]] bool is_transfer(const trace::EventRecord& rec,
-                               trace::StrId sys_write,
-                               trace::StrId sys_read) noexcept {
-  return rec.cls == trace::EventClass::kSyscall &&
-         ((sys_write != 0 && rec.name == sys_write) ||
-          (sys_read != 0 && rec.name == sys_read));
+[[nodiscard]] bool is_transfer(trace::EventClass cls, trace::StrId name,
+                               const ScanSegment& seg) noexcept {
+  return cls == trace::EventClass::kSyscall &&
+         ((seg.sys_write != 0 && name == seg.sys_write) ||
+          (seg.sys_read != 0 && name == seg.sys_read));
 }
 
 [[nodiscard]] StoreSourceInfo parse_source_info(
@@ -190,12 +165,17 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
     // A v2 view pool that could have carried a footer gets the full scan.
     metrics().index_rebuilt.add(1);
   }
-  with_access(pool.batch, pool.view, pool.blocks, [&idx](const auto& acc) {
+  const auto scan_all = [&idx](const auto& acc) {
     idx.sys_write_id = acc.find("SYS_write").value_or(0);
     idx.sys_read_id = acc.find("SYS_read").value_or(0);
     idx.name_present.assign(acc.string_count(), false);
     fold_index_records(idx, acc, 0, acc.size());
-  });
+  };
+  if (pool.view.has_value()) {
+    scan_all(ViewAccess{&*pool.view});
+  } else {
+    scan_all(BatchAccess{&pool.batch});
+  }
   pool.index = std::move(idx);
 }
 
@@ -827,32 +807,6 @@ const trace::EventBatch& UnifiedTraceStore::source_batch(
   return pool.batch;
 }
 
-std::size_t UnifiedTraceStore::resolved_query_threads() const {
-  return query_threads_ == 0
-             ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-             : query_threads_;
-}
-
-std::size_t UnifiedTraceStore::query_chunks() const {
-  return std::max<std::size_t>(
-      std::min(resolved_query_threads(), pools_.size()), 1);
-}
-
-void UnifiedTraceStore::for_each_pool_chunk(
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn)
-    const {
-  const std::size_t n = pools_.size();
-  const std::size_t chunks = query_chunks();
-  if (chunks <= 1) {
-    fn(0, 0, n);
-    return;
-  }
-  parallel_for(
-      chunks,
-      [&](std::size_t c) { fn(c, n * c / chunks, n * (c + 1) / chunks); },
-      chunks);
-}
-
 void UnifiedTraceStore::note_damage(std::uint64_t records) const noexcept {
   damage_->blocks.fetch_add(1, std::memory_order_relaxed);
   damage_->records.fetch_add(records, std::memory_order_relaxed);
@@ -860,144 +814,260 @@ void UnifiedTraceStore::note_damage(std::uint64_t records) const noexcept {
   metrics().damage_records.add(records);
 }
 
+void UnifiedTraceStore::note_pool_skipped() const noexcept {
+  metrics().pools_skipped.add(1);
+}
+
+void UnifiedTraceStore::note_segments(std::size_t scanned,
+                                      std::size_t skipped) const noexcept {
+  metrics().segments_scanned.add(scanned);
+  metrics().segments_skipped.add(skipped);
+}
+
+// The five queries as plans over scan() (see its contract in
+// unified_store.h). Plans are namespace-scope structs because their
+// kernels are templates over the accessor type.
+namespace {
+
+/// call_stats: accumulate per string id into a flat row table (the SIMD
+/// kernels' scatter target), then fold a pool's touched rows into the
+/// chunk's name map — one map lookup per distinct name per pool.
+struct CallStatsPlan {
+  struct Partial {
+    std::map<std::string, CallStats> stats;
+    std::vector<trace::scan::CallAccum> rows;
+  };
+  ScanFilter filter{};
+
+  static void add(CallStats& into, long long count, SimTime time,
+                  Bytes bytes) {
+    into.count += count;
+    into.total_time += time;
+    into.total_bytes += bytes;
+  }
+  template <class Acc, class Body>
+  void pool(Partial& part, const Acc& acc, Body&& walk) const {
+    part.rows.assign(acc.string_count(), trace::scan::CallAccum{});
+    walk();
+    for (std::size_t id = 0; id < part.rows.size(); ++id) {
+      const trace::scan::CallAccum& row = part.rows[id];
+      if (row.count != 0) {
+        add(part.stats[std::string(acc.string(static_cast<trace::StrId>(id)))],
+            row.count, row.time, row.bytes);
+      }
+    }
+  }
+  void hot(Partial& part, const std::uint8_t* hot,
+           const ScanSegment& seg) const {
+    trace::scan::accumulate_call_stats_hot(hot, seg.size(), part.rows.data());
+  }
+  void raw(Partial& part, const std::uint8_t* raw,
+           const ScanSegment& seg) const {
+    trace::scan::accumulate_call_stats(raw, seg.size(), part.rows.data());
+  }
+  template <class Acc>
+  void records(Partial& part, const Acc& acc, const ScanSegment& seg) const {
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      trace::scan::CallAccum& row = part.rows[rec.name];
+      ++row.count;
+      row.time += rec.duration;
+      if (rec.is_io_call()) {
+        row.bytes += rec.bytes;
+      }
+    }
+  }
+  void merge(Partial& into, Partial& from) const {
+    for (const auto& [name, s] : from.stats) {
+      add(into.stats[name], s.count, s.total_time, s.total_bytes);
+    }
+  }
+};
+
+/// rank_timeline: materialize the rank's records; chunks concatenate in
+/// pool order, so the caller's sort sees exactly the serial sequence.
+struct RankTimelinePlan {
+  using Partial = std::vector<trace::TraceEvent>;
+  ScanFilter filter{};
+  int rank = 0;
+
+  template <class Acc>
+  void records(Partial& out, const Acc& acc, const ScanSegment& seg) const {
+    std::uint32_t args_begin = seg.args_begin;
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      if (rec.rank == rank) {
+        out.push_back(acc.materialize(i, args_begin));
+      }
+      args_begin += rec.args_count;
+    }
+  }
+  void merge(Partial& into, Partial& from) const {
+    into.insert(into.end(), std::make_move_iterator(from.begin()),
+                std::make_move_iterator(from.end()));
+  }
+};
+
+/// bytes_in_window: transfer bytes stamped inside [begin, end).
+struct WindowBytesPlan {
+  using Partial = Bytes;
+  ScanFilter filter;
+  SimTime begin = 0;
+  SimTime end = 0;
+
+  void hot(Bytes& total, const std::uint8_t* hot,
+           const ScanSegment& seg) const {
+    total += trace::scan::sum_transfer_bytes_in_window_hot(
+        hot, seg.size(), seg.sys_write, seg.sys_read, begin, end);
+  }
+  void raw(Bytes& total, const std::uint8_t* raw,
+           const ScanSegment& seg) const {
+    total += trace::scan::sum_transfer_bytes_in_window(
+        raw, seg.size(), seg.sys_write, seg.sys_read, begin, end);
+  }
+  template <class Acc>
+  void records(Bytes& total, const Acc& acc, const ScanSegment& seg) const {
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      if (is_transfer(rec.cls, rec.name, seg) && rec.local_start >= begin &&
+          rec.local_start < end) {
+        total += rec.bytes;
+      }
+    }
+  }
+  void merge(Bytes& into, Bytes& from) const { into += from; }
+};
+
+/// io_rate_series: transfer bytes scattered into fixed-width buckets. One
+/// bucket vector per chunk (not per pool), sized by the chunk's first
+/// scanned pool, so peak memory stays bounded by thread count even for
+/// fine buckets over many pools; bucket additions commute, so the merge is
+/// exact.
+struct RateSeriesPlan {
+  using Partial = std::vector<Bytes>;
+  ScanFilter filter;
+  SimTime lo = 0;
+  SimTime width = 1;
+  std::size_t buckets = 0;
+
+  template <class Acc, class Body>
+  void pool(Partial& sums, const Acc&, Body&& walk) const {
+    sums.resize(buckets, 0);
+    walk();
+  }
+  void hot(Partial& sums, const std::uint8_t* hot,
+           const ScanSegment& seg) const {
+    for (std::size_t i = 0; i < seg.size(); ++i) {
+      const trace::HotRecordView rec(hot + i * trace::hotlayout::kStride);
+      if (is_transfer(rec.cls(), rec.name(), seg)) {
+        sums[static_cast<std::size_t>((rec.local_start() - lo) / width)] +=
+            rec.bytes();
+      }
+    }
+  }
+  template <class Acc>
+  void records(Partial& sums, const Acc& acc, const ScanSegment& seg) const {
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      if (is_transfer(rec.cls, rec.name, seg)) {
+        sums[static_cast<std::size_t>((rec.local_start - lo) / width)] +=
+            rec.bytes;
+      }
+    }
+  }
+  void merge(Partial& into, Partial& from) const {
+    into.resize(buckets, 0);  // a chunk whose pools were all skipped
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      into[i] += from[i];
+    }
+  }
+};
+
+struct HeatTally {
+  long long ops = 0;
+  Bytes lib_bytes = 0;
+  Bytes lower_bytes = 0;  // syscall + VFS views of the same transfers
+
+  // Library wrappers and the syscalls beneath them report the same
+  // transfer; the final heat takes whichever view saw more (captures
+  // lib-only traces like //TRACE's without double counting ltrace's dual
+  // view).
+  void add(bool lib, Bytes bytes) {
+    ++ops;
+    (lib ? lib_bytes : lower_bytes) += bytes;
+  }
+  void add(const HeatTally& t) {
+    ops += t.ops;
+    lib_bytes += t.lib_bytes;
+    lower_bytes += t.lower_bytes;
+  }
+};
+
+/// One pool's hottest_files contribution in pool-local string ids: what
+/// it resolved locally, the fd -> path writes it leaves behind, and the
+/// path-less transfers whose fd it could not resolve.
+struct PoolHeat {
+  std::unordered_map<trace::StrId, HeatTally> by_path;  // 0 = "(unknown)"
+  std::unordered_map<int, trace::StrId> fd_delta;  // last write per fd
+  struct Unresolved {
+    int fd = -1;
+    bool lib = false;
+    Bytes bytes = 0;
+  };
+  std::vector<Unresolved> unresolved;
+};
+
+/// hottest_files: the fd -> path map threads serially through the pools,
+/// so the scan keeps per-pool state (keyed by pool index) for the serial
+/// pool-order fold in hottest_files. Within a pool the local map always
+/// wins (it holds the most recent write), exactly the state the serial
+/// single-map scan would have seen.
+struct HeatPlan {
+  struct Partial {};
+  ScanFilter filter;
+  std::vector<PoolHeat>* pools = nullptr;
+
+  template <class Acc>
+  void records(Partial&, const Acc& acc, const ScanSegment& seg) const {
+    PoolHeat& heat = (*pools)[seg.pool];
+    for (std::size_t i = seg.begin; i < seg.end; ++i) {
+      const auto& rec = acc.record(i);
+      if (rec.path != 0 && rec.fd >= 0) {
+        heat.fd_delta[rec.fd] = rec.path;
+      }
+      if (!rec.is_io_call() || rec.bytes <= 0) {
+        continue;
+      }
+      const bool lib = rec.cls == trace::EventClass::kLibraryCall;
+      trace::StrId path = rec.path;
+      if (path == 0 && rec.fd >= 0) {
+        const auto it = heat.fd_delta.find(rec.fd);
+        if (it == heat.fd_delta.end()) {
+          heat.unresolved.push_back({rec.fd, lib, rec.bytes});
+          continue;
+        }
+        path = it->second;
+      }
+      heat.by_path[path].add(lib, rec.bytes);
+    }
+  }
+  void merge(Partial&, Partial&) const {}
+};
+
+}  // namespace
+
 std::map<std::string, CallStats> UnifiedTraceStore::call_stats() const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().call_stats_ns);
-  // Per-worker partials, merged in chunk (== pool == source) order: sums
-  // commute, so the result matches the serial single-map scan exactly.
-  const std::size_t chunks = query_chunks();
-  std::vector<std::map<std::string, CallStats>> partials(chunks);
-  for_each_pool_chunk([&](std::size_t c, std::size_t begin, std::size_t end) {
-    std::map<std::string, CallStats>& stats = partials[c];
-    std::vector<trace::scan::CallAccum> rows;
-    for (std::size_t s = begin; s < end; ++s) {
-      const StorePool& pool = pools_[s];
-      if (use_indexes_ && !pool.index.any) {
-        metrics().pools_skipped.add(1);
-        continue;
-      }
-      with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
-        // Accumulate per string id into a flat row table (the SIMD kernel's
-        // scatter target), then fold the touched rows into the name map —
-        // one map lookup per distinct name per pool.
-        rows.assign(acc.string_count(), trace::scan::CallAccum{});
-        const std::size_t segments = acc.segment_count();
-        // Every segment is touched; decode them block-parallel up front on
-        // the leftover thread budget. Call stats read only hot columns, so
-        // projected pools decode (and decrypt) just the hot group.
-        std::vector<std::size_t> touched;
-        touched.reserve(segments);
-        for (std::size_t k = 0; k < segments; ++k) {
-          if (acc.segment_begin(k) != acc.segment_end(k)) {
-            touched.push_back(k);
-          }
-        }
-        metrics().segments_scanned.add(touched.size());
-        acc.segment_prefetch(touched, prefetch_threads(), /*hot_only=*/true);
-        for (const std::size_t k : touched) {
-          const std::size_t seg_begin = acc.segment_begin(k);
-          const std::size_t seg_end = acc.segment_end(k);
-          // Segment decode is all-or-nothing: a damaged block throws
-          // before a single record accumulates, so skipping it under
-          // skip_damaged drops exactly that segment's records.
-          try {
-            const std::uint8_t* hot = acc.segment_hot_bytes(k);
-            if (hot != nullptr) {
-              trace::scan::accumulate_call_stats_hot(hot, seg_end - seg_begin,
-                                                     rows.data());
-              continue;
-            }
-            const std::uint8_t* raw = acc.segment_record_bytes(k);
-            if (raw != nullptr) {
-              trace::scan::accumulate_call_stats(raw, seg_end - seg_begin,
-                                                 rows.data());
-              continue;
-            }
-            for (std::size_t i = seg_begin; i < seg_end; ++i) {
-              const auto& rec = acc.record(i);
-              trace::scan::CallAccum& row = rows[rec.name];
-              ++row.count;
-              row.time += rec.duration;
-              if (rec.is_io_call()) {
-                row.bytes += rec.bytes;
-              }
-            }
-          } catch (const FormatError&) {
-            if (!scan_policy_.skip_damaged) {
-              throw;
-            }
-            note_damage(seg_end - seg_begin);
-          }
-        }
-        for (std::size_t id = 0; id < rows.size(); ++id) {
-          const trace::scan::CallAccum& row = rows[id];
-          if (row.count == 0) {
-            continue;
-          }
-          CallStats& slot =
-              stats[std::string(acc.string(static_cast<trace::StrId>(id)))];
-          slot.count += row.count;
-          slot.total_time += row.time;
-          slot.total_bytes += row.bytes;
-        }
-      });
-    }
-  });
-  std::map<std::string, CallStats> stats;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    for (const auto& [name, s] : partials[c]) {
-      CallStats& merged = stats[name];
-      merged.count += s.count;
-      merged.total_time += s.total_time;
-      merged.total_bytes += s.total_bytes;
-    }
-  }
-  return stats;
+  return scan(CallStatsPlan{}, query_threads_).stats;
 }
 
 std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
     int rank) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().rank_timeline_ns);
-  std::vector<trace::TraceEvent> out;
-  for (const StorePool& pool : pools_) {
-    with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
-      const std::size_t segments = acc.segment_count();
-      // materialize() reads every column, so prefetch full records; the
-      // pool walk itself is serial, so the whole thread budget applies.
-      std::vector<std::size_t> touched;
-      touched.reserve(segments);
-      for (std::size_t k = 0; k < segments; ++k) {
-        if (acc.segment_begin(k) != acc.segment_end(k)) {
-          touched.push_back(k);
-        }
-      }
-      metrics().segments_scanned.add(touched.size());
-      acc.segment_prefetch(touched, resolved_query_threads(),
-                           /*hot_only=*/false);
-      for (std::size_t k = 0; k < segments; ++k) {
-        const std::size_t seg_begin = acc.segment_begin(k);
-        const std::size_t seg_end = acc.segment_end(k);
-        std::uint32_t args_begin = acc.segment_args_begin(k);
-        // A damaged segment throws on its first record (decode precedes
-        // access), so no partial segment ever lands in `out`.
-        try {
-          for (std::size_t i = seg_begin; i < seg_end; ++i) {
-            const auto& rec = acc.record(i);
-            if (rec.rank == rank) {
-              out.push_back(acc.materialize(i, args_begin));
-            }
-            args_begin += rec.args_count;
-          }
-        } catch (const FormatError&) {
-          if (!scan_policy_.skip_damaged) {
-            throw;
-          }
-          note_damage(seg_end - seg_begin);
-        }
-      }
-    });
-  }
+  std::vector<trace::TraceEvent> out =
+      scan(RankTimelinePlan{.rank = rank}, query_threads_);
   std::sort(out.begin(), out.end(),
             [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
               return a.local_start < b.local_start;
@@ -1008,90 +1078,11 @@ std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
 Bytes UnifiedTraceStore::bytes_in_window(SimTime begin, SimTime end) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().bytes_in_window_ns);
-  std::vector<Bytes> partials(query_chunks(), 0);
-  for_each_pool_chunk(
-      [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-        Bytes total = 0;
-        for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-          const StorePool& pool = pools_[s];
-          if (use_indexes_ &&
-              (!pool.index.any || pool.index.max_time < begin ||
-               pool.index.min_time >= end)) {
-            metrics().pools_skipped.add(1);
-            continue;  // no record can fall inside the window
-          }
-          const PoolIndex& idx = pool.index;
-          if (use_indexes_ && !idx.has_name(idx.sys_write_id) &&
-              !idx.has_name(idx.sys_read_id)) {
-            metrics().pools_skipped.add(1);
-            continue;  // neither transfer call appears as a record name
-          }
-          with_access(pool.batch, pool.view, pool.blocks,
-                      [&](const auto& acc) {
-            const std::size_t segments = acc.segment_count();
-            // Index-skip first, then decode the surviving blocks in
-            // parallel. The window sum reads only hot columns, so
-            // projected pools decode a fraction of their stored bytes.
-            std::vector<std::size_t> touched;
-            touched.reserve(segments);
-            std::size_t index_skipped = 0;
-            for (std::size_t k = 0; k < segments; ++k) {
-              if (use_indexes_ &&
-                  (!acc.segment_overlaps(k, begin, end) ||
-                   (!acc.segment_has_name(k, idx.sys_write_id) &&
-                    !acc.segment_has_name(k, idx.sys_read_id)))) {
-                ++index_skipped;
-                continue;  // skipped blocks stay compressed on disk
-              }
-              if (acc.segment_begin(k) != acc.segment_end(k)) {
-                touched.push_back(k);
-              }
-            }
-            metrics().segments_scanned.add(touched.size());
-            metrics().segments_skipped.add(index_skipped);
-            acc.segment_prefetch(touched, prefetch_threads(),
-                                 /*hot_only=*/true);
-            for (const std::size_t k : touched) {
-              const std::size_t seg_begin = acc.segment_begin(k);
-              const std::size_t seg_end = acc.segment_end(k);
-              try {
-                const std::uint8_t* hot = acc.segment_hot_bytes(k);
-                if (hot != nullptr) {
-                  total += trace::scan::sum_transfer_bytes_in_window_hot(
-                      hot, seg_end - seg_begin, idx.sys_write_id,
-                      idx.sys_read_id, begin, end);
-                  continue;
-                }
-                const std::uint8_t* raw = acc.segment_record_bytes(k);
-                if (raw != nullptr) {
-                  total += trace::scan::sum_transfer_bytes_in_window(
-                      raw, seg_end - seg_begin, idx.sys_write_id,
-                      idx.sys_read_id, begin, end);
-                  continue;
-                }
-                for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                  const auto& rec = acc.record(i);
-                  if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id) &&
-                      rec.local_start >= begin && rec.local_start < end) {
-                    total += rec.bytes;
-                  }
-                }
-              } catch (const FormatError&) {
-                if (!scan_policy_.skip_damaged) {
-                  throw;
-                }
-                note_damage(seg_end - seg_begin);
-              }
-            }
-          });
-        }
-        partials[c] = total;
-      });
-  Bytes total = 0;
-  for (const Bytes b : partials) {
-    total += b;
-  }
-  return total;
+  return scan(WindowBytesPlan{.filter = {.window = std::pair(begin, end),
+                                         .transfer_calls = true},
+                              .begin = begin,
+                              .end = end},
+              query_threads_);
 }
 
 std::vector<std::pair<SimTime, Bytes>> UnifiedTraceStore::io_rate_series(
@@ -1102,188 +1093,29 @@ std::vector<std::pair<SimTime, Bytes>> UnifiedTraceStore::io_rate_series(
   if (total_events_ == 0 || bucket_width <= 0) {
     return series;
   }
+  // The span comes from the pool indexes, which every ingest path builds
+  // (use_indexes gates skips only): a pool-count loop, no record touched.
   bool any = false;
   SimTime lo = 0;
   SimTime hi = 0;
-  if (use_indexes_) {
-    // The pool indexes already hold each pool's min/max corrected stamp —
-    // the whole span phase collapses to a pool-count loop.
-    for (const StorePool& pool : pools_) {
-      if (!pool.index.any) {
-        continue;
-      }
+  for (const StorePool& pool : pools_) {
+    if (pool.index.any) {
       lo = any ? std::min(lo, pool.index.min_time) : pool.index.min_time;
       hi = any ? std::max(hi, pool.index.max_time) : pool.index.max_time;
-      any = true;
-    }
-  } else {
-    struct Span {
-      bool any = false;
-      SimTime lo = 0;
-      SimTime hi = 0;
-    };
-    std::vector<Span> spans(query_chunks());
-    for_each_pool_chunk(
-        [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-          Span& span = spans[c];
-          const auto fold = [&span](SimTime seg_lo, SimTime seg_hi) {
-            if (!span.any) {
-              span.lo = seg_lo;
-              span.hi = seg_hi;
-              span.any = true;
-            } else {
-              span.lo = std::min(span.lo, seg_lo);
-              span.hi = std::max(span.hi, seg_hi);
-            }
-          };
-          for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-            const StorePool& pool = pools_[s];
-            with_access(pool.batch, pool.view, pool.blocks,
-                        [&](const auto& acc) {
-              const std::size_t segments = acc.segment_count();
-              for (std::size_t k = 0; k < segments; ++k) {
-                const std::size_t seg_begin = acc.segment_begin(k);
-                const std::size_t seg_end = acc.segment_end(k);
-                if (seg_begin == seg_end) {
-                  continue;
-                }
-                SimTime seg_lo = 0;
-                SimTime seg_hi = 0;
-                // Block-backed segments carry exact stamp bounds in the
-                // footer mini-index — fold those instead of decompressing
-                // (and CRC-verifying) whole cold blocks just for a span.
-                if (acc.segment_stamp_bounds(k, &seg_lo, &seg_hi)) {
-                  fold(seg_lo, seg_hi);
-                  continue;
-                }
-                // Damage here is skipped but not counted: the bucket
-                // phase below touches the same segment and counts it,
-                // keeping one skip per query.
-                try {
-                  const std::uint8_t* raw = acc.segment_record_bytes(k);
-                  if (raw != nullptr) {
-                    trace::scan::minmax_stamps(raw, seg_end - seg_begin,
-                                               &seg_lo, &seg_hi);
-                    fold(seg_lo, seg_hi);
-                    continue;
-                  }
-                  for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                    const SimTime t = acc.record(i).local_start;
-                    fold(t, t);
-                  }
-                } catch (const FormatError&) {
-                  if (!scan_policy_.skip_damaged) {
-                    throw;
-                  }
-                }
-              }
-            });
-          }
-        });
-    for (const Span& span : spans) {
-      if (!span.any) {
-        continue;
-      }
-      lo = any ? std::min(lo, span.lo) : span.lo;
-      hi = any ? std::max(hi, span.hi) : span.hi;
       any = true;
     }
   }
   if (!any) {
     return series;
   }
-  // One buckets-length partial per worker chunk (not per pool), so peak
-  // memory stays bounded by thread count even for fine buckets over many
-  // pools; bucket additions commute, so the merge is exact.
   const auto buckets = static_cast<std::size_t>((hi - lo) / bucket_width) + 1;
-  const std::size_t chunks = query_chunks();
-  std::vector<std::vector<Bytes>> partial_sums(chunks);
-  for_each_pool_chunk(
-      [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-        std::vector<Bytes>& sums = partial_sums[c];
-        sums.assign(buckets, 0);
-        for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-          const StorePool& pool = pools_[s];
-          if (use_indexes_ && !pool.index.any) {
-            metrics().pools_skipped.add(1);
-            continue;
-          }
-          const PoolIndex& idx = pool.index;
-          if (use_indexes_ && !idx.has_name(idx.sys_write_id) &&
-              !idx.has_name(idx.sys_read_id)) {
-            metrics().pools_skipped.add(1);
-            continue;
-          }
-          with_access(pool.batch, pool.view, pool.blocks,
-                      [&](const auto& acc) {
-            const std::size_t segments = acc.segment_count();
-            std::vector<std::size_t> touched;
-            touched.reserve(segments);
-            std::size_t index_skipped = 0;
-            for (std::size_t k = 0; k < segments; ++k) {
-              if (use_indexes_ &&
-                  !acc.segment_has_name(k, idx.sys_write_id) &&
-                  !acc.segment_has_name(k, idx.sys_read_id)) {
-                ++index_skipped;
-                continue;
-              }
-              if (acc.segment_begin(k) != acc.segment_end(k)) {
-                touched.push_back(k);
-              }
-            }
-            metrics().segments_scanned.add(touched.size());
-            metrics().segments_skipped.add(index_skipped);
-            // The bucket scatter needs cls/name/start/bytes — all hot
-            // columns — so projected pools run a HotRecordView loop over
-            // the 33-byte stride instead of stitching full records.
-            acc.segment_prefetch(touched, prefetch_threads(),
-                                 /*hot_only=*/true);
-            for (const std::size_t k : touched) {
-              const std::size_t seg_begin = acc.segment_begin(k);
-              const std::size_t seg_end = acc.segment_end(k);
-              try {
-                const std::uint8_t* hot = acc.segment_hot_bytes(k);
-                if (hot != nullptr) {
-                  for (std::size_t i = 0; i < seg_end - seg_begin; ++i) {
-                    const trace::HotRecordView rec(
-                        hot + i * trace::hotlayout::kStride);
-                    const trace::StrId name = rec.name();
-                    if (rec.cls() == trace::EventClass::kSyscall &&
-                        ((idx.sys_write_id != 0 &&
-                          name == idx.sys_write_id) ||
-                         (idx.sys_read_id != 0 && name == idx.sys_read_id))) {
-                      sums[static_cast<std::size_t>((rec.local_start() - lo) /
-                                                    bucket_width)] +=
-                          rec.bytes();
-                    }
-                  }
-                  continue;
-                }
-                for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                  const auto& rec = acc.record(i);
-                  if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id)) {
-                    sums[static_cast<std::size_t>((rec.local_start - lo) /
-                                                  bucket_width)] += rec.bytes;
-                  }
-                }
-              } catch (const FormatError&) {
-                if (!scan_policy_.skip_damaged) {
-                  throw;
-                }
-                note_damage(seg_end - seg_begin);
-              }
-            }
-          });
-        }
-      });
-  std::vector<Bytes> sums(buckets, 0);
-  for (const std::vector<Bytes>& partial : partial_sums) {
-    if (!partial.empty()) {
-      for (std::size_t i = 0; i < buckets; ++i) {
-        sums[i] += partial[i];
-      }
-    }
-  }
+  std::vector<Bytes> sums =
+      scan(RateSeriesPlan{.filter = {.transfer_calls = true},
+                          .lo = lo,
+                          .width = bucket_width,
+                          .buckets = buckets},
+           query_threads_);
+  sums.resize(buckets, 0);
   series.reserve(buckets);
   for (std::size_t i = 0; i < buckets; ++i) {
     series.emplace_back(lo + static_cast<SimTime>(i) * bucket_width, sums[i]);
@@ -1295,146 +1127,38 @@ std::vector<FileHeat> UnifiedTraceStore::hottest_files(
     std::size_t limit) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().hottest_files_ns);
-  struct Tally {
-    long long ops = 0;
-    Bytes lib_bytes = 0;
-    Bytes lower_bytes = 0;  // syscall + VFS views of the same transfers
-  };
-  // The best-effort fd -> path map threads serially through the pools (an
-  // fd opened in pool k resolves path-less transfers in pool k+1), so the
-  // scan runs in two phases: a parallel per-pool pass that resolves what
-  // it can locally and records (a) its unresolved transfers and (b) the
-  // fd -> path writes it would leave behind, then a serial fold over pools
-  // that resolves the leftovers against the carried map. Within a pool the
-  // local map always wins (it holds the most recent write), which is
-  // exactly the state the serial single-map scan would have seen.
-  struct PoolScan {
-    std::map<std::string, Tally> by_path;
-    std::map<int, std::string> fd_delta;  // last fd -> path write per fd
-    struct Unresolved {
-      int fd = -1;
-      bool lib = false;
-      Bytes bytes = 0;
-    };
-    std::vector<Unresolved> unresolved;
-  };
-  // Unlike the bucket scans, the partials here must stay per-pool (the
-  // serial fold below needs each pool's fd delta separately); they hold
-  // only what the pool actually references, so that stays cheap.
-  std::vector<PoolScan> scans(pools_.size());
-  for_each_pool_chunk([&](std::size_t, std::size_t chunk_begin,
-                          std::size_t chunk_end) {
-    for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-      const StorePool& pool = pools_[s];
-      // A pool with neither fd/path records nor byte-moving I/O calls
-      // contributes no tallies, no fd deltas and no unresolved transfers.
-      if (use_indexes_ && !pool.index.has_fd_path &&
-          !pool.index.has_io_bytes) {
-        metrics().pools_skipped.add(1);
-        continue;
-      }
-      PoolScan& scan = scans[s];
-      with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
-        const std::size_t segments = acc.segment_count();
-        std::vector<std::size_t> touched;
-        touched.reserve(segments);
-        std::size_t index_skipped = 0;
-        for (std::size_t k = 0; k < segments; ++k) {
-          // The pool-level skip, per block: such a segment writes no fd
-          // delta and contributes no transfers, so skipping it leaves the
-          // serial fold's state untouched.
-          if (use_indexes_ && !acc.segment_has_fd_path(k) &&
-              !acc.segment_has_io_bytes(k)) {
-            ++index_skipped;
-            continue;
-          }
-          if (acc.segment_begin(k) != acc.segment_end(k)) {
-            touched.push_back(k);
-          }
-        }
-        metrics().segments_scanned.add(touched.size());
-        metrics().segments_skipped.add(index_skipped);
-        // Paths and fds live in the cold column group, so this scan needs
-        // full records — prefetch decodes (and stitches) them in parallel.
-        acc.segment_prefetch(touched, prefetch_threads(),
-                             /*hot_only=*/false);
-        for (const std::size_t k : touched) {
-          const std::size_t seg_begin = acc.segment_begin(k);
-          const std::size_t seg_end = acc.segment_end(k);
-          // First-record decode failure precedes any fd-delta or tally
-          // write, so a skipped segment leaves the serial fold's carried
-          // state exactly as if the segment were index-skipped.
-          try {
-            for (std::size_t i = seg_begin; i < seg_end; ++i) {
-              const auto& rec = acc.record(i);
-              const std::string_view rec_path =
-                  rec.path == 0 ? std::string_view{} : acc.path(i);
-              if (!rec_path.empty() && rec.fd >= 0) {
-                scan.fd_delta[rec.fd] = std::string(rec_path);
-              }
-              if (!rec.is_io_call() || rec.bytes <= 0) {
-                continue;
-              }
-              const bool lib = rec.cls == trace::EventClass::kLibraryCall;
-              std::string path(rec_path);
-              if (path.empty() && rec.fd >= 0) {
-                const auto it = scan.fd_delta.find(rec.fd);
-                if (it == scan.fd_delta.end()) {
-                  scan.unresolved.push_back({rec.fd, lib, rec.bytes});
-                  continue;
-                }
-                path = it->second;
-              }
-              if (path.empty()) {
-                path = "(unknown)";
-              }
-              Tally& tally = scan.by_path[path];
-              ++tally.ops;
-              // Library wrappers and the syscalls beneath them report the
-              // same transfer; take whichever view saw more (captures
-              // lib-only traces like //TRACE's without double counting
-              // ltrace's dual view).
-              if (lib) {
-                tally.lib_bytes += rec.bytes;
-              } else {
-                tally.lower_bytes += rec.bytes;
-              }
-          }
-          } catch (const FormatError&) {
-            if (!scan_policy_.skip_damaged) {
-              throw;
-            }
-            note_damage(seg_end - seg_begin);
-          }
-        }
-      });
-    }
-  });
+  // A pool with neither fd/path records nor byte-moving I/O calls writes
+  // no fd delta and contributes no transfers, so skipping it leaves the
+  // fold's carried state untouched.
+  std::vector<PoolHeat> heats(pools_.size());
+  scan(HeatPlan{.filter = {.fd_path_or_io_bytes = true}, .pools = &heats},
+       query_threads_);
 
-  std::map<std::string, Tally> by_path;
-  std::map<int, std::string> carried;  // fd -> path state across pools
-  for (PoolScan& scan : scans) {
-    for (const PoolScan::Unresolved& u : scan.unresolved) {
+  // Serial fold in pool order: resolve each pool's leftovers against the
+  // fd -> path state carried from earlier pools, then let its own writes
+  // update that state. Ids turn into strings here, once per touched id.
+  std::map<std::string, HeatTally> by_path;
+  std::map<int, std::string> carried;
+  for (std::size_t p = 0; p < heats.size(); ++p) {
+    const PoolHeat& heat = heats[p];
+    for (const PoolHeat::Unresolved& u : heat.unresolved) {
       const auto it = carried.find(u.fd);
-      const std::string path =
-          it == carried.end() ? std::string("(unknown)") : it->second;
-      Tally& tally = scan.by_path[path];
-      ++tally.ops;
-      if (u.lib) {
-        tally.lib_bytes += u.bytes;
-      } else {
-        tally.lower_bytes += u.bytes;
+      by_path[it == carried.end() ? std::string("(unknown)") : it->second]
+          .add(u.lib, u.bytes);
+    }
+    if (heat.by_path.empty() && heat.fd_delta.empty()) {
+      continue;
+    }
+    with_pool_access(p, [&](const auto& acc) {
+      for (const auto& [id, tally] : heat.by_path) {
+        by_path[id == 0 ? std::string("(unknown)")
+                        : std::string(acc.string(id))]
+            .add(tally);
       }
-    }
-    for (const auto& [path, tally] : scan.by_path) {
-      Tally& merged = by_path[path];
-      merged.ops += tally.ops;
-      merged.lib_bytes += tally.lib_bytes;
-      merged.lower_bytes += tally.lower_bytes;
-    }
-    for (auto& [fd, path] : scan.fd_delta) {
-      carried[fd] = std::move(path);
-    }
+      for (const auto& [fd, id] : heat.fd_delta) {
+        carried[fd] = acc.string(id);
+      }
+    });
   }
 
   std::vector<FileHeat> out;

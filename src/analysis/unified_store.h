@@ -41,10 +41,13 @@
 // era out as an IOTB3 file and re-files it as a block-backed pool, so old
 // eras shrink to compressed storage yet stay queryable.
 //
-// Aggregate queries (call_stats, bytes_in_window, io_rate_series,
-// hottest_files) scan pools in parallel when set_query_threads allows:
-// each worker chunk builds a partial and the partials are merged in pool
-// (== source) order, so results are bit-identical to the serial scan.
+// Every query, and the DFG miner's pool pass, is a short plan over one
+// scan driver (UnifiedTraceStore::scan): the driver owns the index skips,
+// accessor dispatch, prefetch, damage policy and parallelism; a plan gives
+// only its filter, its per-segment kernels and its partial. Pools are
+// scanned in contiguous chunks in parallel when set_query_threads allows,
+// and the per-chunk partials are merged in pool (== source) order, so
+// results are bit-identical to the serial scan.
 // Queries remain const and safe to issue concurrently; ingest, compact and
 // the setters are configuration and must not race with them.
 #pragma once
@@ -56,6 +59,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/skew_drift.h"
@@ -64,44 +68,79 @@
 #include "trace/bundle.h"
 #include "trace/event_batch.h"
 #include "trace/record_view.h"
+#include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace iotaxo::analysis {
 
-// Every query sees a pool's records through one of three accessors with
+// Every scan sees a pool's records through one of three accessors with
 // the same shape: BatchAccess over an owned EventBatch, ViewAccess over a
 // zero-copy BatchView, BlockAccess over a lazily-decoded IOTB3 BlockView.
-// All are cheap value types; the dispatch happens once per pool
-// (UnifiedTraceStore::with_pool_access), so per-record loops stay
-// monomorphized. The seam is public so analysis subsystems that stream
-// pool records themselves (the DFG miner, tools) reuse it instead of
-// materializing batches or growing friend access.
+// All are cheap value types. The store's scan driver
+// (UnifiedTraceStore::scan) dispatches once per pool and hands the
+// accessor to the plan's kernels, so per-record loops stay monomorphized;
+// with_pool_access exposes the same dispatch to callers that walk one
+// pool's records themselves (the live DFG maintainer, tools).
 //
-// Besides per-record access, every accessor exposes the *segment* seam:
-// segment_count() index-carrying record ranges (a single whole-pool
-// segment for owned/view pools, one per block for block-backed pools).
-// The segment_has_* / segment_overlaps predicates are conservative —
-// "true" means "may contain" — so skipping a false segment is always
+// Besides per-record access, every accessor exposes the *segment* seam the
+// driver walks: segment_count() index-carrying record ranges (a single
+// whole-pool segment for owned/view pools, one per block for block-backed
+// pools). The segment_has_* / segment_overlaps predicates are conservative
+// — "true" means "may contain" — so skipping a false segment is always
 // exact. segment_record_bytes() returns the segment's records serialized
 // in the v2 fixed stride for the SIMD scan kernels, or nullptr when the
-// pool's records are not serialized (owned batches). For projected IOTB3
-// pools, segment_hot_bytes() additionally exposes just the hot column
-// group (hotlayout stride) so narrow queries decode a fraction of the
-// stored bytes; segment_prefetch() decodes a set of segments across a
-// thread pool before a serial scan walks them (block-backed pools only —
-// a no-op elsewhere).
+// pool's records are not serialized (owned batches); segment_hot_bytes()
+// returns just the hot column group (hotlayout stride) of projected IOTB3
+// pools, or nullptr. segment_prefetch() decodes a set of segments across a
+// thread pool before the driver's serial walk (block-backed pools only — a
+// no-op elsewhere).
 
-struct BatchAccess {
+/// The segment seam of a pool without a finer index (owned batches, IOTB2
+/// views): one whole-pool segment that may contain anything, no hot column
+/// group and nothing to prefetch. Acc supplies size().
+template <class Acc>
+struct WholePoolSegments {
+  [[nodiscard]] std::size_t segment_count() const noexcept { return 1; }
+  [[nodiscard]] std::size_t segment_begin(std::size_t) const noexcept {
+    return 0;
+  }
+  [[nodiscard]] std::size_t segment_end(std::size_t) const noexcept {
+    return static_cast<const Acc&>(*this).size();
+  }
+  [[nodiscard]] std::uint32_t segment_args_begin(std::size_t) const noexcept {
+    return 0;
+  }
+  [[nodiscard]] bool segment_overlaps(std::size_t, SimTime,
+                                      SimTime) const noexcept {
+    return true;
+  }
+  [[nodiscard]] bool segment_has_name(std::size_t,
+                                      trace::StrId id) const noexcept {
+    return id != 0;
+  }
+  [[nodiscard]] bool segment_has_fd_path(std::size_t) const noexcept {
+    return true;
+  }
+  [[nodiscard]] bool segment_has_io_bytes(std::size_t) const noexcept {
+    return true;
+  }
+  [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
+    return true;
+  }
+  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
+    return nullptr;
+  }
+  void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
+                        bool) const noexcept {}
+};
+
+struct BatchAccess : WholePoolSegments<BatchAccess> {
+  explicit BatchAccess(const trace::EventBatch* batch) : b(batch) {}
   const trace::EventBatch* b;
 
   [[nodiscard]] std::size_t size() const noexcept { return b->size(); }
   [[nodiscard]] const trace::EventRecord& record(std::size_t i) const {
     return b->record(i);
-  }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return b->name(i);
-  }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return b->path(i);
   }
   [[nodiscard]] std::size_t string_count() const noexcept {
     return b->pool().size();
@@ -119,61 +158,19 @@ struct BatchAccess {
       const {
     return b->materialize(i);
   }
-
-  // Segment seam: one segment, no finer index, records not serialized.
-  [[nodiscard]] std::size_t segment_count() const noexcept { return 1; }
-  [[nodiscard]] std::size_t segment_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] std::size_t segment_end(std::size_t) const noexcept {
-    return b->size();
-  }
-  [[nodiscard]] std::uint32_t segment_args_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] bool segment_overlaps(std::size_t, SimTime,
-                                      SimTime) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t, SimTime*,
-                                          SimTime*) const noexcept {
-    return false;
-  }
-  [[nodiscard]] bool segment_has_name(std::size_t,
-                                      trace::StrId id) const noexcept {
-    return id != 0;
-  }
-  [[nodiscard]] bool segment_has_fd_path(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_bytes(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
-    return true;
-  }
+  /// Owned records are not serialized.
   [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
     return nullptr;
   }
-  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
-    return nullptr;
-  }
-  void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
-                        bool) const noexcept {}
 };
 
-struct ViewAccess {
+struct ViewAccess : WholePoolSegments<ViewAccess> {
+  explicit ViewAccess(const trace::BatchView* view) : v(view) {}
   const trace::BatchView* v;
 
   [[nodiscard]] std::size_t size() const noexcept { return v->size(); }
   [[nodiscard]] trace::EventRecord record(std::size_t i) const {
     return v->record(i).to_record();
-  }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return v->string(v->record(i).name());
-  }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return v->string(v->record(i).path());
   }
   [[nodiscard]] std::size_t string_count() const noexcept {
     return v->string_count();
@@ -188,48 +185,11 @@ struct ViewAccess {
                                               std::uint32_t args_begin) const {
     return v->materialize(i, args_begin);
   }
-
-  // Segment seam: one segment, no finer index, records serialized in
-  // place (the deferred v2 CRC is verified when the bytes are handed out).
-  [[nodiscard]] std::size_t segment_count() const noexcept { return 1; }
-  [[nodiscard]] std::size_t segment_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] std::size_t segment_end(std::size_t) const noexcept {
-    return v->size();
-  }
-  [[nodiscard]] std::uint32_t segment_args_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] bool segment_overlaps(std::size_t, SimTime,
-                                      SimTime) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t, SimTime*,
-                                          SimTime*) const noexcept {
-    return false;
-  }
-  [[nodiscard]] bool segment_has_name(std::size_t,
-                                      trace::StrId id) const noexcept {
-    return id != 0;
-  }
-  [[nodiscard]] bool segment_has_fd_path(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_bytes(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
-    return true;
-  }
+  /// Records serialized in place; the deferred v2 CRC is verified when the
+  /// bytes are handed out.
   [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
     return v->record_bytes().data();
   }
-  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
-    return nullptr;
-  }
-  void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
-                        bool) const noexcept {}
 };
 
 struct BlockAccess {
@@ -238,12 +198,6 @@ struct BlockAccess {
   [[nodiscard]] std::size_t size() const noexcept { return v->size(); }
   [[nodiscard]] trace::EventRecord record(std::size_t i) const {
     return v->record(i).to_record();
-  }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return v->string(v->record(i).name());
-  }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return v->string(v->record(i).path());
   }
   [[nodiscard]] std::size_t string_count() const noexcept {
     return v->string_count();
@@ -281,15 +235,6 @@ struct BlockAccess {
                                       SimTime end) const noexcept {
     return v->block_max_time(k) >= begin && v->block_min_time(k) < end;
   }
-  /// Exact min/max corrected stamp of the segment, straight from the
-  /// footer mini-index — no block is decoded. Only meaningful for
-  /// non-empty segments (the encoder never writes an empty block).
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t k, SimTime* lo,
-                                          SimTime* hi) const noexcept {
-    *lo = v->block_min_time(k);
-    *hi = v->block_max_time(k);
-    return true;
-  }
   [[nodiscard]] bool segment_has_name(std::size_t k,
                                       trace::StrId id) const noexcept {
     return v->block_has_name(k, id);
@@ -306,15 +251,12 @@ struct BlockAccess {
   [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t k) const {
     return v->block_bytes(k).data();
   }
-  /// The segment's HOT column group (hotlayout stride) for projected
-  /// containers — decodes only that group — or nullptr otherwise (callers
-  /// fall back to segment_record_bytes / per-record loops).
+  /// Decodes just the hot column group; nullptr when not projected.
   [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t k) const {
     return v->projected() ? v->hot_bytes(k).data() : nullptr;
   }
-  /// Parallel-decode `segs` before a serial scan: failures stay sticky in
-  /// the block cache and rethrow deterministically when the scan touches
-  /// the failed segment.
+  /// Failures stay sticky in the block cache and rethrow when the
+  /// driver's serial walk touches the failed segment.
   void segment_prefetch(const std::vector<std::size_t>& segs,
                         std::size_t threads, bool hot_only) const {
     v->decode_blocks(segs, threads, hot_only);
@@ -451,6 +393,33 @@ struct DamageCounters {
   bool operator==(const DamageCounters&) const = default;
 };
 
+/// What a scan plan reads, in index terms. While use_indexes() is on the
+/// driver skips every pool and segment whose index proves it holds none of
+/// it; results are identical either way. Unset fields skip nothing.
+struct ScanFilter {
+  /// Only records stamped inside the half-open [first, second).
+  std::optional<std::pair<SimTime, SimTime>> window{};
+  /// Only the transfer syscalls (SYS_write / SYS_read).
+  bool transfer_calls = false;
+  /// Only records carrying an fd with a path, or I/O calls moving bytes.
+  bool fd_path_or_io_bytes = false;
+  /// Only I/O-call records (segment level: pool indexes carry no such flag).
+  bool io_call = false;
+};
+
+/// One segment handed to a plan's kernel: records [begin, end) of `pool`.
+struct ScanSegment {
+  std::size_t pool = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// Argument-id cursor at `begin`, for materialize().
+  std::uint32_t args_begin = 0;
+  /// The pool's transfer-call ids (0 = not interned in this pool).
+  trace::StrId sys_write = 0;
+  trace::StrId sys_read = 0;
+  [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
+};
+
 class UnifiedTraceStore {
  public:
   /// Ingest a bundle. If it carries clock probes, a skew/drift model is
@@ -576,6 +545,31 @@ class UnifiedTraceStore {
     return fn(BatchAccess{&pool.batch});
   }
 
+  /// The scan driver every query and the DFG pool pass run through. A
+  /// plan supplies:
+  ///   - `filter`, a ScanFilter: what it reads;
+  ///   - `Partial`, default-constructed once per chunk, and
+  ///     `merge(Partial& into, Partial& from)`, applied in chunk order;
+  ///   - `records(Partial&, const Acc&, const ScanSegment&)`, the record
+  ///     loop over any accessor;
+  ///   - optionally `hot(Partial&, const std::uint8_t*, const ScanSegment&)`
+  ///     over a projected segment's hot column group and/or `raw(...)`
+  ///     over v2-stride record bytes, preferred in that order when the
+  ///     segment offers them. A plan with a hot kernel reads hot columns
+  ///     only, so its segments are prefetched hot-only;
+  ///   - optionally `pool(Partial&, const Acc&, Body&& body)`, wrapped
+  ///     around each scanned pool (it must call body() once) for per-pool
+  ///     setup and folding.
+  /// The driver owns the rest, once: the pool and segment index skips and
+  /// their metrics, accessor dispatch (once per pool), block-parallel
+  /// prefetch on the thread budget chunking leaves over, the
+  /// ScanPolicy::skip_damaged catch, and contiguous pool chunks on
+  /// `threads` workers (0 = hardware concurrency, 1 = serial). Each pool is
+  /// scanned by exactly one chunk, so a plan may also keep per-pool state
+  /// indexed by ScanSegment::pool.
+  template <class Plan>
+  typename Plan::Partial scan(const Plan& plan, std::size_t threads) const;
+
   /// Worker threads aggregate scans may use: 0 = auto (hardware
   /// concurrency), 1 = serial. Scans go parallel only when several sources
   /// are ingested; partial merges keep results identical either way.
@@ -588,6 +582,8 @@ class UnifiedTraceStore {
 
   /// Pool-index skips on/off (default on). Results are identical either
   /// way; the off position exists so bench_zero_copy can measure the win.
+  /// It gates skips only: every ingest path still builds the indexes, and
+  /// io_rate_series reads its span from them in both positions.
   void set_use_indexes(bool use) noexcept { use_indexes_ = use; }
   [[nodiscard]] bool use_indexes() const noexcept { return use_indexes_; }
 
@@ -774,31 +770,11 @@ class UnifiedTraceStore {
 
   void notify_ingest(std::size_t pool, std::size_t begin, std::size_t end);
 
-  /// Worker threads a scan resolves to: query_threads_, or hardware
-  /// concurrency when auto (0).
-  [[nodiscard]] std::size_t resolved_query_threads() const;
-
-  /// Number of contiguous pool chunks a scan will use: min(threads,
-  /// pools), at least 1. Callers size per-worker partials by this.
-  [[nodiscard]] std::size_t query_chunks() const;
-
-  /// Thread budget left for intra-pool work (block-parallel decode) once
-  /// the pool chunks have claimed theirs: resolved threads split across
-  /// chunks, at least 1. With a single cold pool this is the whole budget,
-  /// which is exactly the full-scan case block-parallel decode targets.
-  [[nodiscard]] std::size_t prefetch_threads() const {
-    return std::max<std::size_t>(resolved_query_threads() / query_chunks(),
-                                 1);
-  }
-
-  /// Partition pools into query_chunks() contiguous chunks and run
-  /// fn(chunk, begin, end) for each — in parallel when more than one chunk,
-  /// else inline. The worker pool is per-call (parallel_for); queries are
-  /// orders of magnitude rarer than captures, so pool spin-up has not
-  /// earned resident threads here yet.
-  void for_each_pool_chunk(
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn)
-      const;
+  /// scan()'s per-pool step: index skips, dispatch, prefetch, the segment
+  /// walk with its damage policy.
+  template <class Plan>
+  void scan_pool(const Plan& plan, typename Plan::Partial& part,
+                 std::size_t p, std::size_t prefetch_threads) const;
 
   /// Damage skipped by queries under ScanPolicy::skip_damaged. Atomics
   /// because parallel query chunks bump them concurrently; boxed so the
@@ -813,6 +789,10 @@ class UnifiedTraceStore {
   /// the store.query.damage_skipped_* metrics; defined out of line so the
   /// header does not pull in util/metrics.h.
   void note_damage(std::uint64_t records) const noexcept;
+  /// The store.query skip/scan metrics, fed by scan_pool (out of line for
+  /// the same reason).
+  void note_pool_skipped() const noexcept;
+  void note_segments(std::size_t scanned, std::size_t skipped) const noexcept;
 
   std::vector<StoreSourceInfo> sources_;
   /// Storage pools in source order (each covering >= 1 source).
@@ -831,5 +811,119 @@ class UnifiedTraceStore {
   bool adopt_indexes_ = true;
   IngestListener ingest_listener_;
 };
+
+template <class Plan>
+typename Plan::Partial UnifiedTraceStore::scan(const Plan& plan,
+                                               std::size_t threads) const {
+  const std::size_t n = pools_.size();
+  const std::size_t budget =
+      threads != 0 ? threads
+                   : std::max<std::size_t>(
+                         1, std::thread::hardware_concurrency());
+  const std::size_t chunks = std::max<std::size_t>(std::min(budget, n), 1);
+  std::vector<typename Plan::Partial> partials(chunks);
+  // Threads chunking leaves idle go to block-parallel decode inside each
+  // pool: a single big cold pool gets the whole budget.
+  const std::size_t prefetch = std::max<std::size_t>(budget / chunks, 1);
+  const auto run_chunk = [&](std::size_t c) {
+    for (std::size_t p = n * c / chunks; p < n * (c + 1) / chunks; ++p) {
+      scan_pool(plan, partials[c], p, prefetch);
+    }
+  };
+  if (chunks == 1) {
+    run_chunk(0);
+  } else {
+    parallel_for(chunks, run_chunk, chunks);
+  }
+  for (std::size_t c = 1; c < chunks; ++c) {
+    plan.merge(partials[0], partials[c]);
+  }
+  return std::move(partials[0]);
+}
+
+template <class Plan>
+void UnifiedTraceStore::scan_pool(const Plan& plan,
+                                  typename Plan::Partial& part, std::size_t p,
+                                  std::size_t prefetch_threads) const {
+  using Partial = typename Plan::Partial;
+  constexpr bool kHot = requires(Partial& pt, const std::uint8_t* b,
+                                 const ScanSegment& s) { plan.hot(pt, b, s); };
+  constexpr bool kRaw = requires(Partial& pt, const std::uint8_t* b,
+                                 const ScanSegment& s) { plan.raw(pt, b, s); };
+  const ScanFilter& f = plan.filter;
+  const PoolIndex& idx = pools_[p].index;
+  if (use_indexes_ &&
+      (!idx.any ||
+       (f.window && (idx.max_time < f.window->first ||
+                     idx.min_time >= f.window->second)) ||
+       (f.transfer_calls && !idx.has_name(idx.sys_write_id) &&
+        !idx.has_name(idx.sys_read_id)) ||
+       (f.fd_path_or_io_bytes && !idx.has_fd_path && !idx.has_io_bytes))) {
+    note_pool_skipped();
+    return;
+  }
+  with_pool_access(p, [&](const auto& acc) {
+    const std::size_t segments = acc.segment_count();
+    std::vector<std::size_t> touched;
+    touched.reserve(segments);
+    std::size_t skipped = 0;
+    for (std::size_t k = 0; k < segments; ++k) {
+      if (use_indexes_ &&
+          ((f.window &&
+            !acc.segment_overlaps(k, f.window->first, f.window->second)) ||
+           (f.transfer_calls && !acc.segment_has_name(k, idx.sys_write_id) &&
+            !acc.segment_has_name(k, idx.sys_read_id)) ||
+           (f.fd_path_or_io_bytes && !acc.segment_has_fd_path(k) &&
+            !acc.segment_has_io_bytes(k)) ||
+           (f.io_call && !acc.segment_has_io_call(k)))) {
+        ++skipped;  // a skipped block stays compressed on disk
+        continue;
+      }
+      if (acc.segment_begin(k) != acc.segment_end(k)) {
+        touched.push_back(k);
+      }
+    }
+    note_segments(touched.size(), skipped);
+    acc.segment_prefetch(touched, prefetch_threads, kHot);
+    const auto walk = [&] {
+      for (const std::size_t k : touched) {
+        const ScanSegment seg{p,
+                              acc.segment_begin(k),
+                              acc.segment_end(k),
+                              acc.segment_args_begin(k),
+                              idx.sys_write_id,
+                              idx.sys_read_id};
+        // Segment decode is all-or-nothing: a damaged block throws before
+        // a kernel sees any of its records, so skipping it under
+        // skip_damaged drops exactly that segment.
+        try {
+          if constexpr (kHot) {
+            if (const std::uint8_t* hot = acc.segment_hot_bytes(k)) {
+              plan.hot(part, hot, seg);
+              continue;
+            }
+          }
+          if constexpr (kRaw) {
+            if (const std::uint8_t* raw = acc.segment_record_bytes(k)) {
+              plan.raw(part, raw, seg);
+              continue;
+            }
+          }
+          plan.records(part, acc, seg);
+        } catch (const FormatError&) {
+          if (!scan_policy_.skip_damaged) {
+            throw;
+          }
+          note_damage(seg.size());
+        }
+      }
+    };
+    if constexpr (requires { plan.pool(part, acc, walk); }) {
+      plan.pool(part, acc, walk);
+    } else {
+      walk();
+    }
+  });
+}
 
 }  // namespace iotaxo::analysis

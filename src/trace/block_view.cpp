@@ -520,7 +520,14 @@ std::span<const std::uint8_t> BlockView::acquire_slot(
           return slot.bytes;
         } catch (const Error& err) {
           metrics().failures.add(1);
-          slot.error = err.what();
+          // Every throw of a failed slot wraps the message in a fresh
+          // FormatError, so keep it without that class's own prefix.
+          constexpr std::string_view kPrefix = "format error: ";
+          std::string_view msg = err.what();
+          if (msg.starts_with(kPrefix)) {
+            msg.remove_prefix(kPrefix.size());
+          }
+          slot.error = msg;
           publish(kFailed);
           throw FormatError(slot.error);
         }

@@ -274,7 +274,7 @@ class BlockView {
     std::atomic<int> state{kUntouched};
     std::vector<std::uint8_t> owned;      // decoded bytes, if not zero-copy
     std::span<const std::uint8_t> bytes;  // the group's record bytes
-    std::string error;                    // sticky failure message
+    std::string error;  // sticky failure message, sans "format error: "
   };
 
   /// Shared decode cache: slot vectors are sized once and never

@@ -4,8 +4,9 @@
 // which discovers every failpoint the cold-commit path evaluates (via
 // fail::set_tracing) and simulates a process death at each one in turn,
 // asserting that recovery serves exactly the last committed state. Plus
-// ScanPolicy::skip_damaged: queries over a store with a corrupt block
-// complete over everything healthy with exact damage counters.
+// ScanPolicy::skip_damaged: queries and DFG builds over a store with a
+// corrupt block complete over everything healthy with exact damage
+// counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/dfg/dfg.h"
 #include "analysis/store_manifest.h"
 #include "analysis/unified_store.h"
 #include "trace/binary_format.h"
@@ -690,6 +692,15 @@ TEST(SkipDamaged, DefaultPolicyFailsFast) {
   UnifiedTraceStore store;
   store.ingest_view(fx.path, {{"framework", "test"}});
   EXPECT_THROW((void)store.call_stats(), FormatError);
+  // The sticky rethrow carries the error-class prefix exactly once.
+  try {
+    (void)store.call_stats();
+    ADD_FAILURE() << "a damaged block must fail the query";
+  } catch (const FormatError& err) {
+    const std::string what = err.what();
+    EXPECT_EQ(what.rfind("format error: ", 0), 0u) << what;
+    EXPECT_EQ(what.find("format error: ", 1), std::string::npos) << what;
+  }
   EXPECT_EQ(store.damage_counters(), (DamageCounters{0, 0}));
   std::filesystem::remove_all(dir);
 }
@@ -766,6 +777,29 @@ TEST(SkipDamaged, CountersAreExactPerQuery) {
   (void)twin.rank_timeline(1);
   EXPECT_EQ(twin.damage_counters(), (DamageCounters{0, 0}));
   EXPECT_EQ(twin.pool_infos()[0].damaged_blocks, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// The DFG miner's pool pass runs through the same scan driver as the
+// queries, so it honours skip_damaged too: the graph is the one mined from
+// the healthy blocks alone, and the skip is counted like a query's.
+TEST(SkipDamaged, DfgMatchesStoreWithoutTheDamagedBlock) {
+  const std::string dir = make_scratch_dir("skip_dfg");
+  const DamagedFixture fx = make_damaged_container(dir);
+
+  UnifiedTraceStore store;
+  store.ingest_view(fx.path, {{"framework", "test"}});
+  store.set_scan_policy({.skip_damaged = true});
+  UnifiedTraceStore healthy;
+  healthy.ingest(EventBatch::from_events(fx.healthy_events),
+                 {{"framework", "test"}});
+
+  const DamageCounters before = store.damage_counters();
+  const dfg::Dfg graph = dfg::DfgBuilder(store).build();
+  EXPECT_EQ(graph, dfg::DfgBuilder(healthy).build());
+  const DamageCounters after = store.damage_counters();
+  EXPECT_EQ(after.skipped_blocks - before.skipped_blocks, 1u);
+  EXPECT_EQ(after.skipped_records - before.skipped_records, 16u);
   std::filesystem::remove_all(dir);
 }
 

@@ -99,10 +99,11 @@ case "${MODE}" in
     cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIOTAXO_TSAN=ON
     cmake --build "${BUILD_DIR}" -j
     # The suites that exercise the concurrent pipeline (async flush, sharded
-    # sinks, parallel store scans, batched capture, zero-copy view sources)
-    # under TSan.
+    # sinks, parallel store scans, batched capture, zero-copy view sources,
+    # the DFG's parallel pool pass and the damage tally's atomics — both
+    # run through the store's scan driver) under TSan.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-      -R 'concurrency_test|batch_test|zero_copy_test|util_test'
+      -R 'concurrency_test|batch_test|zero_copy_test|util_test|dfg_test|recovery_test'
     # Block-parallel cold-scan smoke: the striped decode-slot handoff
     # (claim/publish/wait) and the shared sticky-failure state, re-run
     # standalone so a TSan report here points straight at the IOTB3 decode

@@ -276,46 +276,24 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-// Per-call tallies keyed by interned name id — one flat vector, no maps.
-// Works through the store's public accessor seam, so the zero-copy view
-// and the decoded-batch fallback print identical tables.
-template <class Acc>
-void print_call_table(const Acc& acc) {
-  struct CallTally {
-    long long count = 0;
-    Bytes bytes = 0;
-    SimTime time = 0;
-  };
-  std::vector<CallTally> tallies(acc.string_count());
-  const std::size_t n = acc.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& rec = acc.record(i);
-    CallTally& tally = tallies[rec.name];
-    ++tally.count;
-    tally.time += rec.duration;
-    if (rec.is_io_call()) {
-      tally.bytes += rec.bytes;
-    }
-  }
-  std::vector<trace::StrId> order;
-  for (trace::StrId id = 0; id < tallies.size(); ++id) {
-    if (tallies[id].count > 0) {
-      order.push_back(id);
-    }
-  }
-  std::sort(order.begin(), order.end(), [&](trace::StrId a, trace::StrId b) {
-    return tallies[a].count > tallies[b].count;
+// The per-call table from the store's call_stats(): the same scan (and
+// damage policy) every analysis query runs. Rows sort by event count,
+// descending, ties by name.
+void print_call_stats(const analysis::UnifiedTraceStore& store) {
+  const std::map<std::string, analysis::CallStats> stats = store.call_stats();
+  std::vector<std::pair<std::string, analysis::CallStats>> rows(stats.begin(),
+                                                                stats.end());
+  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.second.count > b.second.count;
   });
-
   TextTable table({"Call", "Events", "Bytes", "Total time"});
   for (std::size_t c = 1; c < 4; ++c) {
     table.set_align(c, Align::kRight);
   }
-  for (const trace::StrId id : order) {
-    const CallTally& tally = tallies[id];
-    table.add_row({std::string(acc.string(id)),
-                   strprintf("%lld", tally.count), format_bytes(tally.bytes),
-                   format_duration(tally.time)});
+  for (const auto& [name, row] : rows) {
+    table.add_row({name, strprintf("%lld", row.count),
+                   format_bytes(row.total_bytes),
+                   format_duration(row.total_time)});
   }
   std::fputs(table.render().c_str(), stdout);
 }
@@ -438,13 +416,13 @@ void stat_window_probe(const analysis::UnifiedTraceStore& store) {
 }
 
 // `stat` prints a container's shape through the zero-copy readers: the
-// file is mmapped and the per-call table is computed straight off the
-// fixed-stride records — no EventBatch is ever built. IOTB3 (including
-// compressed) goes through the lazy BlockView. Containers the views
-// refuse (v1 bodies, v2 compressed or encrypted payloads) are reported
-// with the reader's reason and decoded into a batch instead of failing,
-// so `stat` works — with one decode — on anything decode_binary_batch
-// accepts (`--key` for encrypted files).
+// file is mmapped and filed zero-copy with a unified store, whose
+// call_stats() tallies straight off the stored records — no EventBatch is
+// ever built. IOTB3 (including compressed) goes through the lazy
+// BlockView. Containers the views refuse (v1 bodies, v2 compressed or
+// encrypted payloads) are reported with the reader's reason and decoded
+// into a batch that is filed instead, so `stat` works — with one decode —
+// on anything decode_binary_batch accepts (`--key` for encrypted files).
 int cmd_stat(const Args& args) {
   if (args.positional.empty()) {
     return usage();
@@ -471,10 +449,13 @@ int cmd_stat(const Args& args) {
     return health.healthy() ? 0 : 1;
   }
   trace::MappedTraceFile file(path);
+  const std::map<std::string, std::string> metadata = {
+      {"framework", "iotb"}, {"application", path}};
 
   std::printf("file             : %s (%s, %s)\n", path.c_str(),
               format_bytes(static_cast<Bytes>(file.size())).c_str(),
               file.is_mapped() ? "mmapped" : "read");
+  analysis::UnifiedTraceStore store;
   try {
     if (trace::peek_binary_header(file.bytes()).version == 3) {
       // Block containers tally through the lazy view: even a compressed
@@ -500,65 +481,63 @@ int cmd_stat(const Args& args) {
       if (!args.get("blocks").empty()) {
         print_block_summary(view);
       }
-      // Tally through the unified store rather than the bare view so
-      // `stat` exercises — and its metrics account for — the same
-      // accessor seam every analysis query scans through. The filed view
-      // shares the lazy decode cache with the probe above, so no block is
-      // decoded twice and the decode metrics cross-check pool_infos()
-      // exactly.
-      analysis::UnifiedTraceStore store;
-      store.ingest_view(std::move(file), std::move(view),
-                        {{"framework", "iotb"}, {"application", path}});
-      store.with_pool_access(
-          0, [](const auto& acc) { print_call_table(acc); });
-      if (obs::enabled()) {
-        stat_window_probe(store);
+      // The filed view shares the lazy decode cache with the probe above,
+      // so no block is decoded twice and the decode metrics cross-check
+      // pool_infos() exactly.
+      store.ingest_view(std::move(file), std::move(view), metadata);
+    } else {
+      trace::BatchView view(file.bytes());
+      std::printf("container        : IOTB2%s, zero-copy\n",
+                  view.header().checksummed ? ", checksummed (CRC on scan)"
+                                            : "");
+      if (view.header().indexed) {
+        if (view.persisted_index().has_value()) {
+          const trace::PoolIndexFooter& footer = *view.persisted_index();
+          std::printf("index footer     : present (footer CRC ok, %llu "
+                      "record(s), span %s)\n",
+                      static_cast<unsigned long long>(footer.records),
+                      footer.any
+                          ? format_duration(footer.max_time - footer.min_time)
+                                .c_str()
+                          : "empty");
+        } else {
+          std::printf("index footer     : INVALID (%s) — readers fall back "
+                      "to a record scan\n",
+                      view.footer_error().c_str());
+        }
       }
-      return 0;
+      std::printf("records          : %zu\n", view.size());
+      std::printf("string table     : %zu distinct strings, %s\n",
+                  view.string_count(),
+                  format_bytes(
+                      static_cast<Bytes>(view.string_table_bytes())).c_str());
+      std::printf("argument ids     : %zu\n", view.arg_id_count());
+      store.ingest_view(std::move(file), std::move(view), metadata);
     }
-    const trace::BatchView view(file.bytes());
-    std::printf("container        : IOTB2%s, zero-copy\n",
-                view.header().checksummed ? ", checksummed (CRC ok)" : "");
-    if (view.header().indexed) {
-      if (view.persisted_index().has_value()) {
-        const trace::PoolIndexFooter& footer = *view.persisted_index();
-        std::printf("index footer     : present (footer CRC ok, %llu "
-                    "record(s), span %s)\n",
-                    static_cast<unsigned long long>(footer.records),
-                    footer.any
-                        ? format_duration(footer.max_time - footer.min_time)
-                              .c_str()
-                        : "empty");
-      } else {
-        std::printf("index footer     : INVALID (%s) — readers fall back "
-                    "to a record scan\n",
-                    view.footer_error().c_str());
-      }
+    print_call_stats(store);
+    if (obs::enabled()) {
+      stat_window_probe(store);
     }
-    std::printf("records          : %zu\n", view.size());
-    std::printf("string table     : %zu distinct strings, %s\n",
-                view.string_count(),
-                format_bytes(
-                    static_cast<Bytes>(view.string_table_bytes())).c_str());
-    std::printf("argument ids     : %zu\n", view.arg_id_count());
-    print_call_table(analysis::ViewAccess{&view});
     return 0;
   } catch (const FormatError& err) {
-    // Not view-able — say why (the zero-copy reader's own diagnostic),
-    // then tally through the decoder. Containers that are corrupt rather
-    // than merely transformed will throw again below, which is the error
-    // path (exit 1).
+    // Not view-able (or a damaged record block) — say why, with the
+    // zero-copy reader's own diagnostic, then tally through the decoder.
+    // Containers that are corrupt rather than merely transformed will
+    // throw again below, which is the error path (exit 1).
     std::printf("zero-copy        : refused (%s)\n", err.what());
-    const trace::BinaryHeader h = trace::peek_binary_header(file.bytes());
-    if (h.version == 3 && h.encrypted && !key_from_args(args).has_value()) {
-      std::printf("                   (encrypted IOTB3: pass --key "
-                  "PASSPHRASE to open it)\n");
-    }
-    std::printf("                   decoding instead\n");
   }
-  const trace::BinaryHeader header = trace::peek_binary_header(file.bytes());
+  // `file` may already be filed with a store above: decode from a fresh
+  // mapping.
+  const trace::MappedTraceFile source(path);
+  const trace::BinaryHeader header = trace::peek_binary_header(source.bytes());
+  if (header.version == 3 && header.encrypted &&
+      !key_from_args(args).has_value()) {
+    std::printf("                   (encrypted IOTB3: pass --key "
+                "PASSPHRASE to open it)\n");
+  }
+  std::printf("                   decoding instead\n");
   const trace::EventBatch batch =
-      trace::decode_binary_batch(file.bytes(), key_from_args(args));
+      trace::decode_binary_batch(source.bytes(), key_from_args(args));
   std::printf("container        : IOTB%d%s%s%s, decoded\n", header.version,
               header.compressed ? ", compressed" : "",
               header.encrypted ? ", encrypted" : "",
@@ -567,7 +546,9 @@ int cmd_stat(const Args& args) {
   std::printf("string table     : %zu distinct strings\n",
               batch.pool().size());
   std::printf("argument ids     : %zu\n", batch.arg_ids().size());
-  print_call_table(analysis::BatchAccess{&batch});
+  analysis::UnifiedTraceStore decoded;
+  decoded.ingest(batch, metadata);
+  print_call_stats(decoded);
   return 0;
 }
 
