@@ -147,9 +147,9 @@ int main() {
                           {"application", strprintf("era%zu", s)}});
   }
   // ... and the same records as one zero-copy container source.
-  const std::string view_path = "bench_dfg.iotb";
+  const std::string view_path = "bench_dfg.iotb3";
   write_file(view_path,
-             trace::encode_binary_v2(EventBatch::from_events(events),
+             trace::encode_binary_v3(EventBatch::from_events(events),
                                      trace::BinaryOptions{}));
   UnifiedTraceStore view_store;
   view_store.ingest_view(view_path, {{"framework", "bench"},

@@ -5,7 +5,7 @@
 //
 //   1. A dashboard-shaped mix of narrow windowed queries against a
 //      compressed IOTB3 store must run within 2x of the same mix against an
-//      uncompressed mmap'd IOTB2 store (ratio >= 0.5): compression may not
+//      uncompressed mmap'd IOTB3 store (ratio >= 0.5): compression may not
 //      make interactive probes pathologically slow, because the block index
 //      confines decompression to the blocks a window actually touches and
 //      decoded blocks stay cached.
@@ -20,16 +20,15 @@
 //      slice-by-8 CRC pass is a small tax, not a second decode. Fresh
 //      views per repetition, since CRCs are verified once per block.
 //   4. Hard identity gates: all aggregate queries must be bit-identical
-//      across an owned ingest, a v2 view store, a v3 block store
-//      (compressed + checksummed), encrypted / projected / encrypted+
-//      projected v3 stores, and plain + encrypted cold-compacted stores.
+//      across an owned ingest, a v3 block store (compressed + checksummed),
+//      encrypted / projected / encrypted+projected v3 stores, and plain +
+//      encrypted cold-compacted stores.
 //   5. The narrow-probe mix against an encrypted cold store (lazy per-block
 //      decrypt, ingest_view with a key) must run >= 3x faster than the
-//      pre-v3-encryption fallback: a whole-body-encrypted v2 container of
-//      the same compressed + checksummed shape, which can only be opened
-//      by decrypting and decoding everything into an owned batch, ingesting
-//      it, then probing. The v3 footer stays plaintext, so the keyed view
-//      pays decryption only for the blocks a window touches.
+//      decode-everything fallback: decrypting and decoding the same
+//      container into an owned batch (decode_binary_batch), ingesting it,
+//      then probing. The v3 footer stays plaintext, so the keyed view pays
+//      decryption only for the blocks a window touches.
 //   6. The same mix against a projected store must run >= 2x faster than
 //      against the whole-record store: narrow windowed queries read only
 //      the hot column group (33 of 81 bytes per record), so projection
@@ -201,24 +200,19 @@ int main() {
   trace::BinaryOptions sealed = encrypted;  // the finished cold tier
   sealed.project = true;
 
-  const std::string v2_path = "bench_iotb3_v2.iotb";
+  const std::string mmap_path = "bench_iotb3_plain.iotb3";
   const std::string v3_lz_path = "bench_iotb3_lz.iotb3";
   const std::string v3_full_path = "bench_iotb3_full.iotb3";
   const std::string v3_enc_path = "bench_iotb3_enc.iotb3";
   const std::string v3_proj_path = "bench_iotb3_proj.iotb3";
   const std::string v3_sealed_path = "bench_iotb3_sealed.iotb3";
-  // The pre-v3-encryption artifact gate 5 falls back to: same compression
-  // and CRC, but the whole payload encrypted as one body, so there is no
-  // lazy path — opening it means decrypting and decoding everything.
-  trace::BinaryOptions v2_encrypted = full;
-  v2_encrypted.encrypt = true;
-  v2_encrypted.key = key;
-  const std::vector<std::uint8_t> v2_enc_bytes =
-      trace::encode_binary_v2(batch, v2_encrypted);
-  write_file(v2_path, trace::encode_binary_v2(batch, plain));
+  // Gate 5's fallback decodes this same container eagerly, every block.
+  const std::vector<std::uint8_t> enc_bytes =
+      trace::encode_binary_v3(batch, encrypted);
+  write_file(mmap_path, trace::encode_binary_v3(batch, plain));
   write_file(v3_lz_path, trace::encode_binary_v3(batch, compressed));
   write_file(v3_full_path, trace::encode_binary_v3(batch, full));
-  write_file(v3_enc_path, trace::encode_binary_v3(batch, encrypted));
+  write_file(v3_enc_path, enc_bytes);
   write_file(v3_proj_path, trace::encode_binary_v3(batch, projected));
   write_file(v3_sealed_path, trace::encode_binary_v3(batch, sealed));
   const std::vector<std::uint8_t> v3_plain =
@@ -230,11 +224,11 @@ int main() {
   }();
 
   // --- gate 1: compressed blocks vs uncompressed mmap ----------------------
-  const analysis::UnifiedTraceStore v2_store = open_store(v2_path);
+  const analysis::UnifiedTraceStore mmap_store = open_store(mmap_path);
   const analysis::UnifiedTraceStore v3_store = open_store(v3_lz_path);
-  const Bytes v2_probe_total = narrow_probes(v2_store);
-  const bool probe_identical = narrow_probes(v3_store) == v2_probe_total;
-  const double mmap_s = best_seconds([&] { (void)narrow_probes(v2_store); });
+  const Bytes mmap_probe_total = narrow_probes(mmap_store);
+  const bool probe_identical = narrow_probes(v3_store) == mmap_probe_total;
+  const double mmap_s = best_seconds([&] { (void)narrow_probes(mmap_store); });
   const double lz_s = best_seconds([&] { (void)narrow_probes(v3_store); });
   const double compressed_ratio = mmap_s / lz_s;
 
@@ -260,7 +254,7 @@ int main() {
     unindexed_s = std::min(unindexed_s,
                            std::chrono::duration<double>(t1 - t0).count());
     skip_identical = skip_identical && with_index == without_index &&
-                     with_index == v2_probe_total;
+                     with_index == mmap_probe_total;
   }
   const double block_skip_speedup = unindexed_s / indexed_s;
 
@@ -276,10 +270,9 @@ int main() {
   const double checksum_ratio = plain_s / crc_s;
 
   // --- gate 5: encrypted lazy probes vs the decode-everything fallback -----
-  // Before per-block encryption, an encrypted capture was a whole-body
-  // encrypted v2 container that could only be opened by decrypting and
-  // decoding everything into an owned batch. Both sides are timed end to
-  // end (open + probes), fresh per repetition.
+  // The fallback decrypts and decodes the whole container into an owned
+  // batch before probing. Both sides are timed end to end (open + probes),
+  // fresh per repetition.
   double enc_probe_s = 1e100;
   double fallback_s = 1e100;
   bool enc_identical = true;
@@ -295,15 +288,15 @@ int main() {
 
     t0 = std::chrono::steady_clock::now();
     analysis::UnifiedTraceStore fallback;
-    fallback.ingest(trace::decode_binary_batch(v2_enc_bytes, key),
+    fallback.ingest(trace::decode_binary_batch(enc_bytes, key),
                     {{"framework", "bench"}});
     fallback.set_query_threads(1);
     const Bytes fallback_total = narrow_probes(fallback);
     t1 = std::chrono::steady_clock::now();
     fallback_s = std::min(fallback_s,
                           std::chrono::duration<double>(t1 - t0).count());
-    enc_identical = enc_identical && enc_total == v2_probe_total &&
-                    fallback_total == v2_probe_total;
+    enc_identical = enc_identical && enc_total == mmap_probe_total &&
+                    fallback_total == mmap_probe_total;
   }
   const double encrypted_probe_speedup = fallback_s / enc_probe_s;
 
@@ -319,7 +312,7 @@ int main() {
     const auto t1 = std::chrono::steady_clock::now();
     proj_probe_s = std::min(proj_probe_s,
                             std::chrono::duration<double>(t1 - t0).count());
-    proj_identical = proj_identical && proj_total == v2_probe_total;
+    proj_identical = proj_identical && proj_total == mmap_probe_total;
   }
   const double projected_probe_speedup = indexed_s / proj_probe_s;
 
@@ -375,7 +368,6 @@ int main() {
   owned.set_query_threads(1);
   const auto owned_results = all_queries(owned);
   const analysis::UnifiedTraceStore v3_full_store = open_store(v3_full_path);
-  const bool identity_v2 = all_queries(v2_store) == owned_results;
   const bool identity_v3 = all_queries(v3_full_store) == owned_results;
   analysis::UnifiedTraceStore enc_id_store;
   enc_id_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
@@ -429,7 +421,7 @@ int main() {
 
   std::filesystem::remove_all(cold_dir);
   std::filesystem::remove_all(cold_sealed_dir);
-  std::remove(v2_path.c_str());
+  std::remove(mmap_path.c_str());
   std::remove(v3_lz_path.c_str());
   std::remove(v3_full_path.c_str());
   std::remove(v3_enc_path.c_str());
@@ -438,7 +430,7 @@ int main() {
 
   const bool identical = probe_identical && skip_identical &&
                          scan_identical && enc_identical && proj_identical &&
-                         parallel_identical && identity_v2 && identity_v3 &&
+                         parallel_identical && identity_v3 &&
                          identity_encrypted && identity_projected &&
                          identity_sealed && identity_cold &&
                          identity_cold_sealed;
@@ -470,7 +462,6 @@ int main() {
       "  \"parallel_scan_speedup\": %.2f,\n"
       "  \"parallel_scan_speedup_floor\": %.2f,\n"
       "  \"hardware_threads\": %u,\n"
-      "  \"identity_v2\": %s,\n"
       "  \"identity_v3\": %s,\n"
       "  \"identity_encrypted\": %s,\n"
       "  \"identity_projected\": %s,\n"
@@ -485,8 +476,7 @@ int main() {
       checksum_ratio, kChecksumRatioFloor, encrypted_probe_speedup,
       kEncryptedProbeFloor, projected_probe_speedup, kProjectedProbeFloor,
       projected_decode_saving, kProjectedSavingFloor, parallel_scan_speedup,
-      parallel_floor, hw_threads, identity_v2 ? "true" : "false",
-      identity_v3 ? "true" : "false", identity_encrypted ? "true" : "false",
+      parallel_floor, hw_threads, identity_v3 ? "true" : "false", identity_encrypted ? "true" : "false",
       identity_projected ? "true" : "false",
       identity_sealed ? "true" : "false", identity_cold ? "true" : "false",
       identity_cold_sealed ? "true" : "false",
@@ -529,9 +519,9 @@ int main() {
                 "capped to no-regression (threads time-slice one core)\n",
                 hw_threads);
   }
-  std::printf("identity    v2=%s v3=%s enc=%s proj=%s enc+proj=%s "
+  std::printf("identity    v3=%s enc=%s proj=%s enc+proj=%s "
               "cold-compact=%s cold-compact-sealed=%s\n",
-              identity_v2 ? "yes" : "no", identity_v3 ? "yes" : "no",
+              identity_v3 ? "yes" : "no",
               identity_encrypted ? "yes" : "no",
               identity_projected ? "yes" : "no",
               identity_sealed ? "yes" : "no", identity_cold ? "yes" : "no",

@@ -8,9 +8,9 @@
 // aggregates cannot expose.
 //
 // Graphs are mined straight off the store's pools through its scan
-// driver (UnifiedTraceStore::scan): owned batches, zero-copy IOTB2 views
-// and block-backed IOTB3 containers feed identical graphs, nothing is
-// materialized, and the store's ScanPolicy applies as for its queries. Node and
+// driver (UnifiedTraceStore::scan): owned batches and block-backed IOTB3
+// containers feed identical graphs, nothing is materialized, and the
+// store's ScanPolicy applies as for its queries. Node and
 // edge keys are interned call-name ids in the Dfg's own name table
 // (`names`), assigned in sorted-name order (id 0 stays ""), so graph
 // comparisons are id compares — and the table is independent of how the

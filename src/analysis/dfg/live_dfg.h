@@ -17,12 +17,22 @@
 // boundaries but not the record stream, and LiveDfg's state is keyed by
 // rank, not pool, so no re-fold is needed.
 //
+// Damaged data follows the store's scan driver, which every filed range is
+// folded through (UnifiedTraceStore::scan_pool): under
+// ScanPolicy::skip_damaged a damaged segment is skipped whole and counted
+// once in the store's damage counters, so the live graph equals a cold
+// rebuild over the healthy segments; under fail-fast the maintainer stops
+// folding for good, the listener swallows the FormatError (an ingest never
+// fails because of the maintainer) and snapshot() raises it — the same
+// error a cold build() raises.
+//
 // Opt-in: construct via set_live_dfg(store). The returned handle owns the
 // listener registration and detaches on destruction; destroy it before
 // the store. Folding happens synchronously inside the ingest call, under
 // the maintainer's own mutex — snapshot() is safe from other threads.
 #pragma once
 
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,14 +63,20 @@ class LiveDfg {
   LiveDfg& operator=(const LiveDfg&) = delete;
 
   /// The graph over everything folded so far, canonicalized — comparable
-  /// with == against DfgBuilder::build over the same store.
+  /// with == against DfgBuilder::build over the same store. Rethrows the
+  /// first error a fold hit (see the damage rule above).
   [[nodiscard]] Dfg snapshot() const;
 
   /// Records folded so far (after class/rank filtering).
   [[nodiscard]] long long events_folded() const;
 
  private:
+  struct RangePlan;  // the fold as a scan-driver plan (live_dfg.cpp)
+
   void on_records(std::size_t pool, std::size_t begin, std::size_t end);
+  /// Fold one kept event (live name id) into its rank's graph.
+  void fold(int rank, trace::StrId name, SimTime start, SimTime duration,
+            Bytes bytes);
 
   UnifiedTraceStore* store_;
   LiveDfgOptions options_;
@@ -71,6 +87,8 @@ class LiveDfg {
   std::map<int, RankDfg> ranks_;
   std::map<int, SeqEvent> last_by_rank_;
   long long folded_ = 0;
+  /// First fold failure (fail-fast scan policy), raised by snapshot().
+  std::exception_ptr error_;
 };
 
 /// Attach incremental DFG maintenance to a store (the opt-in entry point).

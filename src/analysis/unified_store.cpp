@@ -45,9 +45,6 @@ struct StoreMetrics {
   obs::Counter& ingest_flushes = obs::counter("ingest.flushes");
   obs::Counter& ingest_events = obs::counter("ingest.events");
   obs::Counter& era_seals = obs::counter("ingest.era_seals");
-  obs::Counter& index_adopted = obs::counter("ingest.index_adopted");
-  obs::Counter& index_rebuilt = obs::counter("ingest.index_rebuilt");
-  obs::Counter& attach_index_adopted = obs::counter("attach.index_adopted");
 };
 
 StoreMetrics& metrics() {
@@ -135,56 +132,20 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
     pool.index = std::move(idx);
     return;
   }
-  if (pool.view.has_value() && adopt_indexes_ &&
-      pool.view->persisted_index().has_value()) {
-    // The container carries a validated v2 footer: adopt it instead of
-    // scanning records. find_string_unchecked keeps the deferred payload
-    // CRC deferred (the table was structurally validated at open); the
-    // footer's own CRC already vouched for the index bits.
-    const trace::PoolIndexFooter& f = *pool.view->persisted_index();
-    idx.any = f.any;
-    idx.min_time = f.min_time;
-    idx.max_time = f.max_time;
-    idx.has_fd_path = f.has_fd_path;
-    idx.has_io_bytes = f.has_io_bytes;
-    idx.sys_write_id =
-        pool.view->find_string_unchecked("SYS_write").value_or(0);
-    idx.sys_read_id = pool.view->find_string_unchecked("SYS_read").value_or(0);
-    idx.name_present.assign(pool.view->string_count(), false);
-    for (trace::StrId id = 1; id < idx.name_present.size(); ++id) {
-      if (f.has_name(id)) {
-        idx.name_present[id] = true;
-      }
-    }
-    pool.persisted_index = true;
-    metrics().index_adopted.add(1);
-    pool.index = std::move(idx);
-    return;
-  }
-  if (pool.view.has_value()) {
-    // A v2 view pool that could have carried a footer gets the full scan.
-    metrics().index_rebuilt.add(1);
-  }
-  const auto scan_all = [&idx](const auto& acc) {
-    idx.sys_write_id = acc.find("SYS_write").value_or(0);
-    idx.sys_read_id = acc.find("SYS_read").value_or(0);
-    idx.name_present.assign(acc.string_count(), false);
-    fold_index_records(idx, acc, 0, acc.size());
-  };
-  if (pool.view.has_value()) {
-    scan_all(ViewAccess{&*pool.view});
-  } else {
-    scan_all(BatchAccess{&pool.batch});
-  }
+  const trace::StringPool& strings = pool.batch.pool();
+  idx.sys_write_id = strings.find("SYS_write").value_or(0);
+  idx.sys_read_id = strings.find("SYS_read").value_or(0);
+  idx.name_present.assign(strings.size(), false);
+  fold_index_records(idx, pool.batch, 0, pool.batch.size());
   pool.index = std::move(idx);
 }
 
-template <class Acc>
-void UnifiedTraceStore::fold_index_records(PoolIndex& idx, const Acc& acc,
+void UnifiedTraceStore::fold_index_records(PoolIndex& idx,
+                                           const trace::EventBatch& batch,
                                            std::size_t begin,
                                            std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
-    const auto& rec = acc.record(i);
+    const trace::EventRecord& rec = batch.record(i);
     idx.name_present[rec.name] = true;
     if (!idx.any) {
       idx.min_time = idx.max_time = rec.local_start;
@@ -298,7 +259,7 @@ void UnifiedTraceStore::extend_open_index(StorePool& pool, std::size_t begin,
   if (idx.name_present.size() < pool.batch.pool().size()) {
     idx.name_present.resize(pool.batch.pool().size(), false);
   }
-  fold_index_records(idx, BatchAccess{&pool.batch}, begin, end);
+  fold_index_records(idx, pool.batch, begin, end);
 }
 
 bool UnifiedTraceStore::seal_open_era() {
@@ -350,65 +311,14 @@ std::size_t UnifiedTraceStore::ingest_view(
     trace::MappedTraceFile file,
     const std::map<std::string, std::string>& metadata,
     const std::optional<CipherKey>& key) {
-  // The views borrow the mapped bytes; MappedTraceFile guarantees they do
+  if (trace::peek_binary_header(file.bytes()).version != 3) {
+    // IOTB1/IOTB2: imported, not served in place — the decode verifies the
+    // whole-payload CRC, and the batch files like any owned ingest.
+    return ingest(trace::decode_binary_batch(file.bytes(), key), metadata);
+  }
+  // The view borrows the mapped bytes; MappedTraceFile guarantees they do
   // not relocate when the file object itself is moved into the pool.
-  const trace::BinaryHeader header = trace::peek_binary_header(file.bytes());
-  if (header.version == 3) {
-    trace::BlockView view(file.bytes(), key);
-    return ingest_view(std::move(file), std::move(view), metadata);
-  }
-  trace::BatchView view(file.bytes());
-  return ingest_view(std::move(file), std::move(view), metadata);
-}
-
-std::size_t UnifiedTraceStore::ingest_view(
-    trace::MappedTraceFile file, trace::BatchView view,
-    const std::map<std::string, std::string>& metadata) {
-  const std::span<const std::uint8_t> bytes = file.bytes();
-  if (view.buffer().data() != bytes.data() ||
-      view.buffer().size() != bytes.size()) {
-    throw ConfigError(
-        "unified store: the view does not borrow the given mapped file");
-  }
-  metrics().ingest_flushes.add(1);
-  metrics().ingest_events.add(view.size());
-  if (stream_.has_value() && view.size() <= stream_->flush_events) {
-    // A small flush while streaming: materialize it into the open era
-    // (decoding verifies the CRC) and drop the mapped file — tens of
-    // thousands of tiny capture flushes must not pin tens of thousands of
-    // mappings.
-    trace::EventBatch batch = trace::decode_binary_batch(bytes);
-    return stream_append(parse_source_info(metadata), std::move(batch), {});
-  }
-  seal_open_era();
-  StorePool pool;
-  pool.view.emplace(std::move(view));
-  pool.file = std::move(file);
-
-  StoreSourceInfo info = parse_source_info(metadata);
-  info.events = static_cast<long long>(pool.view->size());
-  info.view_backed = true;
-  total_events_ += info.events;
-
-  const std::size_t source_index = sources_.size();
-  pool.first_source = source_index;
-  index_pool(pool);
-  sources_.push_back(std::move(info));
-  pools_.push_back(std::move(pool));
-  notify_ingest(pools_.size() - 1, 0,
-                static_cast<std::size_t>(sources_.back().events));
-  return source_index;
-}
-
-std::size_t UnifiedTraceStore::ingest_view(
-    trace::MappedTraceFile file, trace::BlockView view,
-    const std::map<std::string, std::string>& metadata) {
-  const std::span<const std::uint8_t> bytes = file.bytes();
-  if (view.buffer().data() != bytes.data() ||
-      view.buffer().size() != bytes.size()) {
-    throw ConfigError(
-        "unified store: the view does not borrow the given mapped file");
-  }
+  trace::BlockView view(file.bytes(), key);
   metrics().ingest_flushes.add(1);
   metrics().ingest_events.add(view.size());
   if (stream_.has_value() && view.size() <= stream_->flush_events) {
@@ -422,7 +332,7 @@ std::size_t UnifiedTraceStore::ingest_view(
 
   StoreSourceInfo info = parse_source_info(metadata);
   info.events = static_cast<long long>(pool.blocks->size());
-  info.view_backed = true;
+  info.block_backed = true;
   total_events_ += info.events;
 
   const std::size_t source_index = sources_.size();
@@ -439,11 +349,9 @@ std::size_t UnifiedTraceStore::ingest_view(
     const std::string& path,
     const std::map<std::string, std::string>& metadata,
     const std::optional<CipherKey>& key) {
-  // When index adoption is on, the open usually touches only the header,
-  // string table, and footer pages — don't prefault the record pages. A
-  // footer-less (or corrupt-footer) container still scans fine; the pages
-  // just fault in on demand.
-  return ingest_view(trace::MappedTraceFile(path, /*prefault=*/!adopt_indexes_),
+  // A block-backed open touches only the head and footer pages — don't
+  // prefault the block pages; they fault in when a query needs them.
+  return ingest_view(trace::MappedTraceFile(path, /*prefault=*/false),
                      metadata, key);
 }
 
@@ -459,14 +367,13 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes) {
   while (i < pools_.size()) {
     StorePool era = std::move(pools_[i]);
     ++i;
-    if (era.view.has_value() || era.blocks.has_value()) {
-      merged.push_back(std::move(era));  // views are never re-materialized
+    if (era.blocks.has_value()) {
+      merged.push_back(std::move(era));  // never re-materialized
       continue;
     }
     std::size_t era_size = approx_batch_bytes(era.batch);
     bool grew = false;
-    while (i < pools_.size() && !pools_[i].view.has_value() &&
-           !pools_[i].blocks.has_value()) {
+    while (i < pools_.size() && !pools_[i].blocks.has_value()) {
       const std::size_t next = approx_batch_bytes(pools_[i].batch);
       if (era_size + next > era_bytes) {
         break;
@@ -500,7 +407,7 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes,
   cold_era_seq_ = std::max(cold_era_seq_,
                            static_cast<std::size_t>(manifest.next_seq));
   for (StorePool& pool : pools_) {
-    if (pool.view.has_value() || pool.blocks.has_value()) {
+    if (pool.blocks.has_value()) {
       continue;  // already cold (or zero-copy ingested)
     }
     fail::point("store.cold.spill");
@@ -551,7 +458,7 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes,
     pool.batch = trace::EventBatch();
     for (std::size_t s = pool.first_source;
          s < pool.first_source + pool.source_count; ++s) {
-      sources_[s].view_backed = true;
+      sources_[s].block_backed = true;
     }
     index_pool(pool);  // rebuilt from the footer (ids are unchanged)
   }
@@ -692,9 +599,6 @@ StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
           continue;
         }
         ingest_view(std::move(file), options.metadata, options.key);
-        if (pools_.back().persisted_index) {
-          metrics().attach_index_adopted.add(1);
-        }
         ++health.recovered_eras;
       } catch (const Error& err) {
         quarantine(e.name, err.what());
@@ -713,9 +617,6 @@ StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
     for (const std::string& name : names) {
       try {
         ingest_view(directory + "/" + name, options.metadata, options.key);
-        if (pools_.back().persisted_index) {
-          metrics().attach_index_adopted.add(1);
-        }
         ++health.recovered_eras;
       } catch (const Error& err) {
         quarantine(name, err.what());
@@ -741,7 +642,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
     info.first_source = pool.first_source;
     info.source_count = pool.source_count;
     if (pool.blocks.has_value()) {
-      info.view_backed = true;
       info.block_backed = true;
       info.blocks = pool.blocks->block_count();
       info.records = static_cast<long long>(pool.blocks->size());
@@ -751,10 +651,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
       info.stored_bytes = pool.blocks->stored_bytes_total();
       info.decoded_stored_bytes = pool.blocks->decoded_stored_bytes();
       info.damaged_blocks = pool.blocks->failed_blocks();
-    } else if (pool.view.has_value()) {
-      info.view_backed = true;
-      info.records = static_cast<long long>(pool.view->size());
-      info.approx_bytes = pool.file.size();
     } else {
       info.records = static_cast<long long>(pool.batch.size());
       info.approx_bytes = approx_batch_bytes(pool.batch);
@@ -766,7 +662,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
     }
     info.open_era = pool.open;
     info.flushes_absorbed = pool.flushes;
-    info.persisted_index = pool.persisted_index;
     infos.push_back(info);
   }
   return infos;
@@ -794,9 +689,9 @@ const trace::EventBatch& UnifiedTraceStore::source_batch(
     throw ConfigError("unified store: source index out of range");
   }
   const StorePool& pool = pool_for(source);
-  if (pool.view.has_value() || pool.blocks.has_value()) {
+  if (pool.blocks.has_value()) {
     throw ConfigError(
-        "unified store: source is view-backed; its records live in the "
+        "unified store: source is block-backed; its records live in the "
         "mapped container, not an owned batch");
   }
   if (pool.source_count != 1) {

@@ -5,21 +5,22 @@
 //
 // The store ingests bundles captured by *any* framework (ptrace text
 // traces, Tracefs binary VFS streams, //TRACE interposition traces) — or
-// raw EventBatches straight off the batched capture pipeline, or IOTB2
-// files opened zero-copy through trace::BatchView — normalizes timestamps
-// onto a common timeline when skew/drift probes are available, and answers
-// the queries analysis tools need: per-call statistics, per-rank activity,
-// time-windowed I/O rates, and file heat.
+// raw EventBatches straight off the batched capture pipeline, or IOTB3
+// containers opened zero-copy through trace::BlockView — normalizes
+// timestamps onto a common timeline when skew/drift probes are available,
+// and answers the queries analysis tools need: per-call statistics,
+// per-rank activity, time-windowed I/O rates, and file heat.
 //
-// Internally every source lives in a *pool*: one owned trace::EventBatch
-// (fixed-size records plus an interned string pool), a view-backed pool (a
-// MappedTraceFile plus the BatchView into it — records are scanned in
-// place, never decoded), or a block-backed pool (a MappedTraceFile plus a
-// BlockView over an IOTB3 container — compressed/checksummed blocks
-// decoded lazily, only when a query touches them). Queries iterate flat
-// records and compare interned ids instead of strings, so aggregate scans
-// stay cheap at millions of events (the columnar bulk-iteration the DFG
-// syscall-inspection line of work depends on).
+// Internally every source lives in a *pool* of one of two kinds: an owned
+// pool (one trace::EventBatch — fixed-size records plus an interned string
+// pool) or a block-backed pool (a MappedTraceFile plus a BlockView over an
+// IOTB3 container — blocks are served in place when stored plain and
+// decoded lazily, only when a query touches them, when compressed or
+// encrypted). Older IOTB1/IOTB2 files are imported into owned pools.
+// Queries iterate flat records and compare interned ids instead of
+// strings, so aggregate scans stay cheap at millions of events (the
+// columnar bulk-iteration the DFG syscall-inspection line of work depends
+// on).
 //
 // Each pool carries an index built once at ingest — min/max corrected
 // timestamp and a name-id presence filter — that lets the windowed and
@@ -27,19 +28,20 @@
 // block-backed pools get theirs straight from the container footer, no
 // record is decoded at ingest. Below the pool index sits the *segment*
 // seam: every accessor partitions its records into index-carrying
-// segments (one per pool for owned/view pools, one per block for
-// block-backed pools), and queries skip or stream segments the same way
-// they skip pools — a narrow window on a compressed era decompresses only
-// the blocks it overlaps. Segments whose records sit serialized in the
-// v2 fixed stride also expose their raw bytes, which the queries feed to
-// the SIMD scan kernels (trace/scan_kernels.h) instead of per-record
-// accessor loops. set_use_indexes(false) disables both skip levels for
-// benchmarking; results are identical either way. compact(era_bytes)
-// merges runs of small owned pools into era-sized batches (re-interned
-// once, source infos preserved) so pool count stays bounded in long-lived
-// aggregation services; the cold-tier overload additionally writes each
-// era out as an IOTB3 file and re-files it as a block-backed pool, so old
-// eras shrink to compressed storage yet stay queryable.
+// segments (one per owned pool, one per block for block-backed pools), and
+// queries skip or stream segments the same way they skip pools — a narrow
+// window on a compressed era decompresses only the blocks it overlaps.
+// Block segments also expose their records serialized in the fixed
+// 81-byte stride (or the hot column group of projected containers), which
+// the queries feed to the SIMD scan kernels (trace/scan_kernels.h) instead
+// of per-record accessor loops. set_use_indexes(false) disables both skip
+// levels for benchmarking; results are identical either way.
+// compact(era_bytes) merges runs of small owned pools into era-sized
+// batches (re-interned once, source infos preserved) so pool count stays
+// bounded in long-lived aggregation services; the cold-tier overload
+// additionally writes each era out as an IOTB3 file and re-files it as a
+// block-backed pool, so old eras shrink to compressed storage yet stay
+// queryable.
 //
 // Every query, and the DFG miner's pool pass, is a short plan over one
 // scan driver (UnifiedTraceStore::scan): the driver owns the index skips,
@@ -73,39 +75,60 @@
 
 namespace iotaxo::analysis {
 
-// Every scan sees a pool's records through one of three accessors with
-// the same shape: BatchAccess over an owned EventBatch, ViewAccess over a
-// zero-copy BatchView, BlockAccess over a lazily-decoded IOTB3 BlockView.
-// All are cheap value types. The store's scan driver
-// (UnifiedTraceStore::scan) dispatches once per pool and hands the
-// accessor to the plan's kernels, so per-record loops stay monomorphized;
-// with_pool_access exposes the same dispatch to callers that walk one
-// pool's records themselves (the live DFG maintainer, tools).
+// Every scan sees a pool's records through one of two accessors with the
+// same shape: BatchAccess over an owned EventBatch, BlockAccess over a
+// lazily-decoded IOTB3 BlockView. Both are cheap value types. The store's
+// scan driver (UnifiedTraceStore::scan) dispatches once per pool and hands
+// the accessor to the plan's kernels, so per-record loops stay
+// monomorphized; with_pool_access exposes the same dispatch to callers
+// that walk one pool's records themselves (tools, the CLI).
 //
 // Besides per-record access, every accessor exposes the *segment* seam the
 // driver walks: segment_count() index-carrying record ranges (a single
-// whole-pool segment for owned/view pools, one per block for block-backed
+// whole-pool segment for owned pools, one per block for block-backed
 // pools). The segment_has_* / segment_overlaps predicates are conservative
 // — "true" means "may contain" — so skipping a false segment is always
 // exact. segment_record_bytes() returns the segment's records serialized
-// in the v2 fixed stride for the SIMD scan kernels, or nullptr when the
+// in the fixed stride for the SIMD scan kernels, or nullptr when the
 // pool's records are not serialized (owned batches); segment_hot_bytes()
 // returns just the hot column group (hotlayout stride) of projected IOTB3
 // pools, or nullptr. segment_prefetch() decodes a set of segments across a
 // thread pool before the driver's serial walk (block-backed pools only — a
-// no-op elsewhere).
+// no-op for owned ones).
 
-/// The segment seam of a pool without a finer index (owned batches, IOTB2
-/// views): one whole-pool segment that may contain anything, no hot column
-/// group and nothing to prefetch. Acc supplies size().
-template <class Acc>
-struct WholePoolSegments {
+/// An owned batch: one whole-pool segment that may contain anything, no
+/// serialized bytes and nothing to prefetch.
+struct BatchAccess {
+  explicit BatchAccess(const trace::EventBatch* batch) : b(batch) {}
+  const trace::EventBatch* b;
+
+  [[nodiscard]] std::size_t size() const noexcept { return b->size(); }
+  [[nodiscard]] const trace::EventRecord& record(std::size_t i) const {
+    return b->record(i);
+  }
+  [[nodiscard]] std::size_t string_count() const noexcept {
+    return b->pool().size();
+  }
+  [[nodiscard]] std::string_view string(trace::StrId id) const {
+    return b->pool().view(id);
+  }
+  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
+    return b->pool().find(s);
+  }
+  /// args_begin is carried by the owned record itself; the parameter keeps
+  /// the signature uniform with BlockAccess.
+  [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
+                                              std::uint32_t /*args_begin*/)
+      const {
+    return b->materialize(i);
+  }
+
   [[nodiscard]] std::size_t segment_count() const noexcept { return 1; }
   [[nodiscard]] std::size_t segment_begin(std::size_t) const noexcept {
     return 0;
   }
   [[nodiscard]] std::size_t segment_end(std::size_t) const noexcept {
-    return static_cast<const Acc&>(*this).size();
+    return size();
   }
   [[nodiscard]] std::uint32_t segment_args_begin(std::size_t) const noexcept {
     return 0;
@@ -127,69 +150,14 @@ struct WholePoolSegments {
   [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
     return true;
   }
+  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
+    return nullptr;
+  }
   [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
     return nullptr;
   }
   void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
                         bool) const noexcept {}
-};
-
-struct BatchAccess : WholePoolSegments<BatchAccess> {
-  explicit BatchAccess(const trace::EventBatch* batch) : b(batch) {}
-  const trace::EventBatch* b;
-
-  [[nodiscard]] std::size_t size() const noexcept { return b->size(); }
-  [[nodiscard]] const trace::EventRecord& record(std::size_t i) const {
-    return b->record(i);
-  }
-  [[nodiscard]] std::size_t string_count() const noexcept {
-    return b->pool().size();
-  }
-  [[nodiscard]] std::string_view string(trace::StrId id) const {
-    return b->pool().view(id);
-  }
-  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
-    return b->pool().find(s);
-  }
-  /// args_begin is carried by the owned record itself; the parameter keeps
-  /// the signature uniform with ViewAccess.
-  [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
-                                              std::uint32_t /*args_begin*/)
-      const {
-    return b->materialize(i);
-  }
-  /// Owned records are not serialized.
-  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
-    return nullptr;
-  }
-};
-
-struct ViewAccess : WholePoolSegments<ViewAccess> {
-  explicit ViewAccess(const trace::BatchView* view) : v(view) {}
-  const trace::BatchView* v;
-
-  [[nodiscard]] std::size_t size() const noexcept { return v->size(); }
-  [[nodiscard]] trace::EventRecord record(std::size_t i) const {
-    return v->record(i).to_record();
-  }
-  [[nodiscard]] std::size_t string_count() const noexcept {
-    return v->string_count();
-  }
-  [[nodiscard]] std::string_view string(trace::StrId id) const {
-    return v->string(id);
-  }
-  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
-    return v->find_string(s);
-  }
-  [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
-                                              std::uint32_t args_begin) const {
-    return v->materialize(i, args_begin);
-  }
-  /// Records serialized in place; the deferred v2 CRC is verified when the
-  /// bytes are handed out.
-  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
-    return v->record_bytes().data();
-  }
 };
 
 struct BlockAccess {
@@ -268,8 +236,9 @@ struct StoreSourceInfo {
   std::string application;
   long long events = 0;
   bool time_corrected = false;
-  /// True when the source is served zero-copy from a mapped IOTB2 file.
-  bool view_backed = false;
+  /// True when the source is served from a mapped IOTB3 container (a
+  /// block-backed pool) rather than an owned batch.
+  bool block_backed = false;
 };
 
 struct CallStats {
@@ -287,8 +256,8 @@ struct FileHeat {
 };
 
 /// Shape of one storage pool, reported by pool_infos() so tools and
-/// benches can describe a store (pool count, sizes, eras, owned vs view)
-/// without friend access to the pool internals.
+/// benches can describe a store (pool count, sizes, eras, owned vs
+/// block-backed) without friend access to the pool internals.
 struct StorePoolInfo {
   /// Sources [first_source, first_source + source_count) live in this pool
   /// (source_count > 1 only after compact()).
@@ -296,9 +265,8 @@ struct StorePoolInfo {
   std::size_t source_count = 1;
   long long records = 0;
   /// Approximate resident footprint: in-memory batch bytes for owned
-  /// pools, container file bytes for view-backed pools.
+  /// pools, container file bytes for block-backed pools.
   std::size_t approx_bytes = 0;
-  bool view_backed = false;
   /// True for pools served from an IOTB3 BlockView (cold-tier compaction
   /// output or a v3 ingest_view); `blocks` is then the container's block
   /// count, else 0.
@@ -325,9 +293,6 @@ struct StorePoolInfo {
   /// that never streamed).
   bool open_era = false;
   std::size_t flushes_absorbed = 0;
-  /// View-backed v2 pools only: the container carried a valid persisted
-  /// index footer and the pool adopted it instead of scanning records.
-  bool persisted_index = false;
   bool operator==(const StorePoolInfo&) const = default;
 };
 
@@ -438,33 +403,26 @@ class UnifiedTraceStore {
       const std::vector<trace::TraceEvent>& clock_probes = {},
       const std::vector<trace::DependencyEdge>& dependencies = {});
 
-  /// Ingest a container zero-copy: the store takes ownership of the mapped
-  /// file and serves the source straight from a view. IOTB2 must be
-  /// uncompressed and unencrypted (records are scanned once at ingest to
-  /// build the pool index); IOTB3 may also be compressed/checksummed — its
-  /// pool index is built from the footer mini-index alone, so no block is
-  /// decompressed at ingest. View sources use raw node-local stamps (no
-  /// timeline correction; decode to a batch and use the batch overload when
-  /// probes must be applied). `key` opens encrypted IOTB3 containers (a
-  /// wrong or missing key throws FormatError at ingest; blocks decrypt
-  /// lazily as queries touch them). Throws FormatError if the container is
-  /// not view-able.
+  /// File a container: the store takes ownership of the mapped file. An
+  /// IOTB3 container is served zero-copy from a block-backed pool whose
+  /// index is built from the footer mini-index alone, so no block is
+  /// decoded at ingest; `key` opens encrypted ones (a wrong or missing key
+  /// throws FormatError at ingest; blocks decrypt lazily as queries touch
+  /// them). An IOTB1/IOTB2 file is imported instead: decoded with
+  /// decode_binary_batch (`key` for encrypted ones) and filed through the
+  /// owned ingest(batch, metadata) path, streaming absorption included.
+  /// Either way the source uses raw node-local stamps (no timeline
+  /// correction; decode to a batch and use the batch overload when probes
+  /// must be applied). Small IOTB3 containers are absorbed into the open
+  /// era too while streaming ingest is on. Throws FormatError on a
+  /// corrupt container.
   std::size_t ingest_view(trace::MappedTraceFile file,
                           const std::map<std::string, std::string>& metadata = {},
                           const std::optional<CipherKey>& key = std::nullopt);
-  /// Convenience: map `path` and ingest it zero-copy.
+  /// Convenience: map `path` and ingest it.
   std::size_t ingest_view(const std::string& path,
                           const std::map<std::string, std::string>& metadata = {},
                           const std::optional<CipherKey>& key = std::nullopt);
-  /// Ingest an already-validated pair: `view` must borrow `file`'s bytes
-  /// (checked; ConfigError otherwise). Callers that probed the container
-  /// themselves (the CLI's view-or-decode fallback) file it without
-  /// paying the open-time validation a second time.
-  std::size_t ingest_view(trace::MappedTraceFile file, trace::BatchView view,
-                          const std::map<std::string, std::string>& metadata = {});
-  /// Same, for an IOTB3 block view.
-  std::size_t ingest_view(trace::MappedTraceFile file, trace::BlockView view,
-                          const std::map<std::string, std::string>& metadata = {});
 
   /// Attach a crash-safe store directory (one the cold tier spills into),
   /// recovering from whatever a crash left behind: orphaned `<name>.tmp`
@@ -486,7 +444,7 @@ class UnifiedTraceStore {
   /// Merge runs of adjacent small *owned* pools into era-sized batches of
   /// at most ~era_bytes each (approximate in-memory footprint). Source
   /// infos, source indexing and every query result are preserved exactly;
-  /// view-backed pools are never touched. Bounds pool count for long-lived
+  /// block-backed pools are never touched. Bounds pool count for long-lived
   /// aggregation services. Returns the pool count after compaction.
   std::size_t compact(std::size_t era_bytes);
 
@@ -514,7 +472,7 @@ class UnifiedTraceStore {
   /// under `cold.directory` and swap the pool to a block-backed view of
   /// the mapped file — the in-memory batch is released, and later queries
   /// decode only the blocks they touch. Query results are preserved
-  /// exactly; covered sources become view-backed (source_batch() then
+  /// exactly; covered sources become block-backed (source_batch() then
   /// throws for them). Returns the pool count.
   std::size_t compact(std::size_t era_bytes, const ColdTierOptions& cold);
 
@@ -525,22 +483,18 @@ class UnifiedTraceStore {
   }
 
   /// Per-pool shape (record count, footprint, index time span, owned vs
-  /// view), in pool (== source) order.
+  /// block-backed), in pool (== source) order.
   [[nodiscard]] std::vector<StorePoolInfo> pool_infos() const;
 
-  /// Run fn with pool `p`'s accessor (BatchAccess, ViewAccess or
-  /// BlockAccess): the same seam every built-in query scans through, for
-  /// callers that stream pool records themselves. Throws ConfigError on an
-  /// out-of-range pool.
+  /// Run fn with pool `p`'s accessor (BatchAccess or BlockAccess): the
+  /// same seam every built-in query scans through, for callers that stream
+  /// pool records themselves. Throws ConfigError on an out-of-range pool.
   template <class Fn>
   decltype(auto) with_pool_access(std::size_t p, Fn&& fn) const {
     check_pool_index(p);
     const StorePool& pool = pools_[p];
     if (pool.blocks.has_value()) {
       return fn(BlockAccess{&*pool.blocks});
-    }
-    if (pool.view.has_value()) {
-      return fn(ViewAccess{&*pool.view});
     }
     return fn(BatchAccess{&pool.batch});
   }
@@ -569,6 +523,20 @@ class UnifiedTraceStore {
   /// indexed by ScanSegment::pool.
   template <class Plan>
   typename Plan::Partial scan(const Plan& plan, std::size_t threads) const;
+
+  /// scan() over pool `p` alone, on the calling thread, with the same index
+  /// skips, kernel choice and damage policy (a damaged segment throws
+  /// FormatError, or under skip_damaged is skipped and counted once). The
+  /// live DFG maintainer folds each newly filed record range through this,
+  /// so the store.query skip, scan and damage counters include that fold.
+  /// Throws ConfigError on an out-of-range pool.
+  template <class Plan>
+  typename Plan::Partial scan_pool(const Plan& plan, std::size_t p) const {
+    check_pool_index(p);
+    typename Plan::Partial part{};
+    scan_pool_into(plan, part, p, 1);
+    return part;
+  }
 
   /// Worker threads aggregate scans may use: 0 = auto (hardware
   /// concurrency), 1 = serial. Scans go parallel only when several sources
@@ -605,13 +573,6 @@ class UnifiedTraceStore {
   /// compact() / the cold tier may merge or spill). Returns whether an open
   /// era existed. The next absorbed flush starts a fresh era.
   bool seal_open_era();
-
-  /// Adopt persisted v2 index footers at ingest_view/attach_dir (default
-  /// on) instead of scanning records. The off position exists so tests and
-  /// bench_ingest can compare adopted vs rebuilt indexes; results are
-  /// identical either way.
-  void set_adopt_indexes(bool adopt) noexcept { adopt_indexes_ = adopt; }
-  [[nodiscard]] bool adopt_indexes() const noexcept { return adopt_indexes_; }
 
   /// Called after records [begin_record, end_record) of pool `pool` are
   /// filed (any ingest path: new pool, open-era append, attached
@@ -650,7 +611,7 @@ class UnifiedTraceStore {
 
   /// A source's events in normalized columnar form (local_start already on
   /// the common timeline). Only available while the source still has its
-  /// own owned pool: throws ConfigError for view-backed sources (their
+  /// own owned pool: throws ConfigError for block-backed sources (their
   /// records live in the mapped file, not an EventBatch) and for sources
   /// merged away by compact().
   [[nodiscard]] const trace::EventBatch& source_batch(
@@ -691,7 +652,7 @@ class UnifiedTraceStore {
     bool has_io_bytes = false; // some I/O-class record moved bytes > 0
     /// Interned ids of the transfer syscalls in this pool's string table
     /// (0 = not interned), resolved once at ingest so windowed queries
-    /// never re-search the table (linear for view-backed pools).
+    /// never re-search the table (linear for block-backed pools).
     trace::StrId sys_write_id = 0;
     trace::StrId sys_read_id = 0;
     /// name_present[id]: some record's *name* is string id `id` (ids that
@@ -705,14 +666,13 @@ class UnifiedTraceStore {
     }
   };
 
-  /// One storage unit: an owned batch (views disengaged), a view-backed
-  /// mapped IOTB2 file, or a block-backed mapped IOTB3 file. Covers sources
+  /// One storage unit: an owned batch (`blocks` disengaged) or a
+  /// block-backed mapped IOTB3 file. Covers sources
   /// [first_source, first_source + source_count) — more than one only after
   /// compact().
   struct StorePool {
     trace::EventBatch batch;
     trace::MappedTraceFile file;
-    std::optional<trace::BatchView> view;
     std::optional<trace::BlockView> blocks;
     PoolIndex index;
     std::size_t first_source = 0;
@@ -723,8 +683,6 @@ class UnifiedTraceStore {
     /// absorbed (0 for pools that never streamed).
     bool open = false;
     std::size_t flushes = 0;
-    /// A valid persisted v2 index footer was adopted for this pool.
-    bool persisted_index = false;
   };
 
   [[nodiscard]] std::optional<SkewDriftModel> fit_model(
@@ -743,18 +701,18 @@ class UnifiedTraceStore {
   /// Bounds check shared by the inline pool accessors.
   void check_pool_index(std::size_t p) const;
 
-  /// (Re)build a pool's skip index: adopt a persisted footer when the pool
-  /// is a v2 view carrying a valid one (and adopt_indexes_), else fold a
-  /// full record scan through the same seam open-era appends extend
-  /// through (fold_index_records).
+  /// (Re)build a pool's skip index: from the footer mini-index of a
+  /// block-backed pool, else by folding a full record scan through the
+  /// same seam open-era appends extend through (fold_index_records).
   void index_pool(StorePool& pool);
 
-  /// The one index-maintenance seam: fold records [begin, end) of an
-  /// accessor into `idx` (stamp bounds, presence flags, name filter).
-  /// Callers size idx.name_present and resolve the transfer-call ids; both
-  /// full ingest scans and incremental open-era appends run through this.
-  template <class Acc>
-  static void fold_index_records(PoolIndex& idx, const Acc& acc,
+  /// The one index-maintenance seam for owned pools: fold records
+  /// [begin, end) of `batch` into `idx` (stamp bounds, presence flags, name
+  /// filter). Callers size idx.name_present and resolve the transfer-call
+  /// ids; both full ingest scans and incremental open-era appends run
+  /// through this.
+  static void fold_index_records(PoolIndex& idx,
+                                 const trace::EventBatch& batch,
                                  std::size_t begin, std::size_t end);
 
   /// Absorb a small flush into the open era batch (creating it if needed),
@@ -773,8 +731,8 @@ class UnifiedTraceStore {
   /// scan()'s per-pool step: index skips, dispatch, prefetch, the segment
   /// walk with its damage policy.
   template <class Plan>
-  void scan_pool(const Plan& plan, typename Plan::Partial& part,
-                 std::size_t p, std::size_t prefetch_threads) const;
+  void scan_pool_into(const Plan& plan, typename Plan::Partial& part,
+                      std::size_t p, std::size_t prefetch_threads) const;
 
   /// Damage skipped by queries under ScanPolicy::skip_damaged. Atomics
   /// because parallel query chunks bump them concurrently; boxed so the
@@ -808,7 +766,6 @@ class UnifiedTraceStore {
   std::size_t cold_era_seq_ = 0;
   bool use_indexes_ = true;
   std::optional<StreamIngestOptions> stream_;
-  bool adopt_indexes_ = true;
   IngestListener ingest_listener_;
 };
 
@@ -827,7 +784,7 @@ typename Plan::Partial UnifiedTraceStore::scan(const Plan& plan,
   const std::size_t prefetch = std::max<std::size_t>(budget / chunks, 1);
   const auto run_chunk = [&](std::size_t c) {
     for (std::size_t p = n * c / chunks; p < n * (c + 1) / chunks; ++p) {
-      scan_pool(plan, partials[c], p, prefetch);
+      scan_pool_into(plan, partials[c], p, prefetch);
     }
   };
   if (chunks == 1) {
@@ -842,9 +799,10 @@ typename Plan::Partial UnifiedTraceStore::scan(const Plan& plan,
 }
 
 template <class Plan>
-void UnifiedTraceStore::scan_pool(const Plan& plan,
-                                  typename Plan::Partial& part, std::size_t p,
-                                  std::size_t prefetch_threads) const {
+void UnifiedTraceStore::scan_pool_into(const Plan& plan,
+                                       typename Plan::Partial& part,
+                                       std::size_t p,
+                                       std::size_t prefetch_threads) const {
   using Partial = typename Plan::Partial;
   constexpr bool kHot = requires(Partial& pt, const std::uint8_t* b,
                                  const ScanSegment& s) { plan.hot(pt, b, s); };

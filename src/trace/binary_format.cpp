@@ -34,6 +34,10 @@ constexpr std::uint8_t kFlagEncrypted = 0x02;
 constexpr std::uint8_t kFlagChecksummed = 0x04;
 constexpr std::uint8_t kFlagProjected = 0x08;  // v3 columnar projection
 constexpr std::uint8_t kFlagIndexed = 0x10;    // v2 pool-index footer
+constexpr std::uint8_t kFlagHeadCrc = 0x20;    // v3 head CRC
+constexpr std::uint8_t kKnownFlags = kFlagCompressed | kFlagEncrypted |
+                                     kFlagChecksummed | kFlagProjected |
+                                     kFlagIndexed | kFlagHeadCrc;
 constexpr std::size_t kHeaderSize = kContainerHeaderSize;
 // Fixed fields plus the four (possibly zero-length) string length prefixes
 // of a v1 record — the minimum body bytes one record can occupy. Corrupt
@@ -62,6 +66,7 @@ class Writer {
   void bytes(std::span<const std::uint8_t> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
@@ -94,9 +99,8 @@ class Reader {
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::string str() { return std::string(str_view()); }
-  /// Like str(), but borrowing the body bytes — the decoder fast paths
-  /// intern straight from the view without a temporary std::string.
+  /// A length-prefixed string, borrowing the body bytes — the decoder
+  /// interns straight from the view without a temporary std::string.
   std::string_view str_view() {
     const std::uint32_t n = u32();
     need(n);
@@ -116,58 +120,11 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void encode_event(Writer& w, const TraceEvent& ev) {
-  w.u8(static_cast<std::uint8_t>(ev.cls));
-  w.str(ev.name);
-  w.u32(static_cast<std::uint32_t>(ev.args.size()));
-  for (const std::string& a : ev.args) {
-    w.str(a);
-  }
-  w.i64(ev.ret);
-  w.i64(ev.local_start);
-  w.i64(ev.duration);
-  w.i32(ev.rank);
-  w.i32(ev.node);
-  w.u32(ev.pid);
-  w.str(ev.host);
-  w.str(ev.path);
-  w.i32(ev.fd);
-  w.i64(ev.bytes);
-  w.i64(ev.offset);
-  w.u32(ev.uid);
-  w.u32(ev.gid);
-}
-
 [[nodiscard]] EventClass decode_class(std::uint8_t cls) {
   if (cls > static_cast<std::uint8_t>(EventClass::kAnnotation)) {
     throw FormatError("binary trace: bad event class");
   }
   return static_cast<EventClass>(cls);
-}
-
-TraceEvent decode_event(Reader& r) {
-  TraceEvent ev;
-  ev.cls = decode_class(r.u8());
-  ev.name = r.str();
-  const std::uint32_t argc = r.u32();
-  ev.args.reserve(argc);
-  for (std::uint32_t i = 0; i < argc; ++i) {
-    ev.args.push_back(r.str());
-  }
-  ev.ret = r.i64();
-  ev.local_start = r.i64();
-  ev.duration = r.i64();
-  ev.rank = r.i32();
-  ev.node = r.i32();
-  ev.pid = r.u32();
-  ev.host = r.str();
-  ev.path = r.str();
-  ev.fd = r.i32();
-  ev.bytes = r.i64();
-  ev.offset = r.i64();
-  ev.uid = r.u32();
-  ev.gid = r.u32();
-  return ev;
 }
 
 void encode_record(Writer& w, const EventRecord& rec) {
@@ -214,52 +171,6 @@ void encode_cold_record(Writer& w, const EventRecord& rec) {
   w.i64(rec.offset);
   w.u32(rec.uid);
   w.u32(rec.gid);
-}
-
-/// Wrap a finished body in the shared container envelope (compress /
-/// encrypt / checksum, then magic + flags + counts). `extra_flags` carries
-/// body-shape bits the caller already baked into the payload (today only
-/// kFlagIndexed from the v2 encoder).
-[[nodiscard]] std::vector<std::uint8_t> seal_container(
-    const char (&magic)[6], std::vector<std::uint8_t> payload,
-    std::uint64_t count, const BinaryOptions& options,
-    std::uint8_t extra_flags = 0) {
-  if (options.encrypt && !options.key.has_value()) {
-    throw ConfigError("binary trace: encryption requested without a key");
-  }
-  if (options.project) {
-    throw ConfigError(
-        "binary trace: columnar projection requires the v3 block container");
-  }
-  std::uint8_t flags = extra_flags;
-  if (options.compress) {
-    payload = lz_compress(payload);
-    flags |= kFlagCompressed;
-  }
-  if (options.encrypt) {
-    payload = cbc_encrypt(payload, *options.key, options.iv_seed);
-    flags |= kFlagEncrypted;
-  }
-  if (options.checksum) {
-    flags |= kFlagChecksummed;
-  }
-
-  Writer out;
-  for (const char c : magic) {
-    out.u8(static_cast<std::uint8_t>(c));
-  }
-  out.u8(flags);
-  out.u64(count);
-  out.u64(payload.size());
-  std::vector<std::uint8_t> head = out.take();
-  head.insert(head.end(), payload.begin(), payload.end());
-  if (options.checksum) {
-    const std::uint32_t crc = crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-      head.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-    }
-  }
-  return head;
 }
 
 /// Validate the envelope, verify the CRC, decrypt and decompress; returns
@@ -389,132 +300,6 @@ void encode_cold_record(Writer& w, const EventRecord& rec) {
 
 }  // namespace
 
-std::optional<PoolIndexFooter> parse_v2_index_footer(
-    std::span<const std::uint8_t> tail, std::uint64_t expect_records,
-    std::uint32_t expect_nstrings, std::string* error) {
-  const auto fail = [error](const char* why) -> std::optional<PoolIndexFooter> {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return std::nullopt;
-  };
-  if (tail.size() < v2footer::kFixedSize + v2footer::kTrailerSize) {
-    return fail("index footer truncated");
-  }
-  Reader trailer(tail.subspan(tail.size() - v2footer::kTrailerSize));
-  const std::uint64_t footer_len = trailer.u64();
-  const std::uint32_t footer_crc = trailer.u32();
-  if (trailer.u32() != v2footer::kFooterMagic) {
-    return fail("bad index footer magic");
-  }
-  if (footer_len != tail.size() - v2footer::kTrailerSize) {
-    return fail("index footer length mismatch");
-  }
-  const std::span<const std::uint8_t> footer =
-      tail.first(static_cast<std::size_t>(footer_len));
-  if (crc32(footer) != footer_crc) {
-    return fail("index footer CRC mismatch");
-  }
-  Reader r(footer);
-  const std::uint8_t flags = r.u8();
-  PoolIndexFooter out;
-  out.any = (flags & v2footer::kAny) != 0;
-  out.has_fd_path = (flags & v2footer::kHasFdPath) != 0;
-  out.has_io_bytes = (flags & v2footer::kHasIoBytes) != 0;
-  out.min_time = r.i64();
-  out.max_time = r.i64();
-  out.records = r.u64();
-  const std::uint32_t nstrings = r.u32();
-  // The footer must describe THIS body: a stale or transplanted footer
-  // whose counts disagree with the envelope is rejected, not adopted.
-  if (out.records != expect_records) {
-    return fail("index footer record count mismatch");
-  }
-  if (nstrings != expect_nstrings) {
-    return fail("index footer string count mismatch");
-  }
-  const std::size_t bitmap_bytes = (nstrings + 7u) / 8u;
-  if (footer_len != v2footer::kFixedSize + bitmap_bytes) {
-    return fail("index footer bitmap length mismatch");
-  }
-  out.name_bitmap.assign(footer.begin() + v2footer::kFixedSize, footer.end());
-  if (error != nullptr) {
-    error->clear();
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_binary(const std::vector<TraceEvent>& events,
-                                        const BinaryOptions& options) {
-  Writer body;
-  for (const TraceEvent& ev : events) {
-    encode_event(body, ev);
-  }
-  return seal_container(kMagicV1, body.take(), events.size(), options);
-}
-
-std::vector<std::uint8_t> encode_binary_v2(const EventBatch& batch,
-                                           const BinaryOptions& options) {
-  Writer body;
-  body.u32(static_cast<std::uint32_t>(batch.pool().size()));
-  batch.pool().for_each(
-      [&body](StrId /*id*/, std::string_view s) { body.str(s); });
-  body.u64(batch.arg_ids().size());
-  for (const StrId a : batch.arg_ids()) {
-    body.u32(a);
-  }
-  for (const EventRecord& rec : batch.records()) {
-    encode_record(body, rec);
-  }
-  if (!options.index_footer) {
-    return seal_container(kMagicV2, body.take(), batch.size(), options);
-  }
-
-  // Pool-index footer: the same stats UnifiedTraceStore::index_pool folds
-  // from a record scan, persisted so readers can skip that scan.
-  std::uint8_t flags = 0;
-  SimTime min_time = 0;
-  SimTime max_time = 0;
-  std::vector<std::uint8_t> bitmap((batch.pool().size() + 7) / 8);
-  for (const EventRecord& rec : batch.records()) {
-    if ((flags & v2footer::kAny) == 0) {
-      min_time = max_time = rec.local_start;
-      flags |= v2footer::kAny;
-    } else {
-      min_time = std::min(min_time, rec.local_start);
-      max_time = std::max(max_time, rec.local_start);
-    }
-    bitmap[rec.name >> 3] |= static_cast<std::uint8_t>(1u << (rec.name & 7u));
-    if (rec.path != 0 && rec.fd >= 0) {
-      flags |= v2footer::kHasFdPath;
-    }
-    if (rec.is_io_call() && rec.bytes > 0) {
-      flags |= v2footer::kHasIoBytes;
-    }
-  }
-  Writer footer;
-  footer.u8(flags);
-  footer.i64(min_time);
-  footer.i64(max_time);
-  footer.u64(batch.size());
-  footer.u32(static_cast<std::uint32_t>(batch.pool().size()));
-  for (const std::uint8_t byte : bitmap) {
-    footer.u8(byte);
-  }
-  const std::vector<std::uint8_t> footer_bytes = footer.take();
-  body.bytes(footer_bytes);
-  body.u64(footer_bytes.size());
-  body.u32(crc32(footer_bytes));
-  body.u32(v2footer::kFooterMagic);
-  return seal_container(kMagicV2, body.take(), batch.size(), options,
-                        kFlagIndexed);
-}
-
-std::vector<std::uint8_t> encode_binary_v2(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options) {
-  return encode_binary_v2(EventBatch::from_events(events), options);
-}
-
 std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
                                            const BinaryOptions& options,
                                            std::uint32_t block_records) {
@@ -541,6 +326,12 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
   payload.u32(block_records);
   if (options.encrypt) {
     payload.u64(xtea_encrypt_block(v3layout::kKeyCheckPlain, *options.key));
+  }
+  // The head CRC's slot: filled in below, once the envelope it also covers
+  // knows the payload length.
+  const std::size_t head_len = payload.size();
+  if (options.checksum) {
+    payload.u32(0);
   }
 
   // One column group's plain -> stored transform: compress, THEN encrypt
@@ -636,7 +427,7 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
     container_flags |= kFlagEncrypted;
   }
   if (options.checksum) {
-    container_flags |= kFlagChecksummed;
+    container_flags |= kFlagChecksummed | kFlagHeadCrc;
   }
   if (options.project) {
     container_flags |= kFlagProjected;
@@ -649,9 +440,18 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
   out.u64(count);
   const std::vector<std::uint8_t> body = payload.take();
   out.u64(body.size());
-  std::vector<std::uint8_t> head = out.take();
-  head.insert(head.end(), body.begin(), body.end());
-  return head;
+  std::vector<std::uint8_t> container = out.take();
+  container.insert(container.end(), body.begin(), body.end());
+  if (options.checksum) {
+    const std::size_t at = kHeaderSize + head_len;
+    const std::uint32_t crc =
+        crc32(std::span<const std::uint8_t>(container.data(), at));
+    for (int i = 0; i < 4; ++i) {
+      container[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+  }
+  return container;
 }
 
 std::vector<std::uint8_t> encode_binary_v3(
@@ -682,8 +482,12 @@ BinaryHeader peek_binary_header(std::span<const std::uint8_t> data) {
   h.checksummed = (flags & kFlagChecksummed) != 0;
   h.projected = (flags & kFlagProjected) != 0;
   h.indexed = (flags & kFlagIndexed) != 0;
-  if (h.projected && h.version != 3) {
-    throw FormatError("binary trace: projected flag is v3-only");
+  h.head_crc = (flags & kFlagHeadCrc) != 0;
+  if ((flags & ~kKnownFlags) != 0) {
+    throw FormatError("binary trace: unknown flag bits");
+  }
+  if ((h.projected || h.head_crc) && h.version != 3) {
+    throw FormatError("binary trace: projected/head-CRC flags are v3-only");
   }
   if (h.indexed && h.version != 2) {
     throw FormatError("binary trace: indexed flag is v2-only");
@@ -695,29 +499,7 @@ BinaryHeader peek_binary_header(std::span<const std::uint8_t> data) {
 
 std::vector<TraceEvent> decode_binary(std::span<const std::uint8_t> data,
                                       const std::optional<CipherKey>& key) {
-  const BinaryHeader h = peek_binary_header(data);
-  if (h.version == 3) {
-    return BlockView(data, key).to_batch().to_events();
-  }
-  const std::vector<std::uint8_t> body = open_container(data, h, key);
-  if (h.version == 2) {
-    return decode_batch_body(body, h.count, h.indexed).to_events();
-  }
-  // A count the body cannot hold is corruption and must not reach
-  // reserve() as a giant allocation.
-  if (h.count > body.size() / kV1MinRecordSize) {
-    throw FormatError("binary trace: record count exceeds payload");
-  }
-  Reader r(body);
-  std::vector<TraceEvent> events;
-  events.reserve(h.count);
-  for (std::uint64_t i = 0; i < h.count; ++i) {
-    events.push_back(decode_event(r));
-  }
-  if (!r.at_end()) {
-    throw FormatError("binary trace: trailing bytes after records");
-  }
-  return events;
+  return decode_binary_batch(data, key).to_events();
 }
 
 EventBatch decode_binary_batch(std::span<const std::uint8_t> data,
@@ -732,9 +514,9 @@ EventBatch decode_binary_batch(std::span<const std::uint8_t> data,
   if (h.version == 2) {
     return decode_batch_body(body, h.count, h.indexed);
   }
-  // v1 interop fast path: intern each record's strings straight from the
-  // body into the output batch — no per-event TraceEvent round-trip, no
-  // temporary std::strings (mirrors decode_event's field order exactly).
+  // v1: intern each record's strings straight from the body into the
+  // output batch — no per-event TraceEvent round-trip, no temporary
+  // std::strings.
   if (h.count > body.size() / kV1MinRecordSize) {
     throw FormatError("binary trace: record count exceeds payload");
   }

@@ -4,24 +4,29 @@
 // ("Binary, with optional checksumming, compression, encryption, or
 // buffering").
 //
-// Three container versions share one outer envelope:
+// iotaxo writes one container, IOTB3 (encode_binary_v3). The two older
+// versions, IOTB1 and IOTB2, are still read: decode_binary and
+// decode_binary_batch accept all three, and the unified store imports
+// v1/v2 files by decoding them into an owned batch.
+//
+// All three versions share one outer envelope:
 //   magic   "IOTB1\n", "IOTB2\n" or "IOTB3\n"   6 bytes
-//   flags   u8  (bit0 compressed, bit1 encrypted, bit2 checksummed,
-//                bit4 indexed — v2-only pool-index footer; see below)
+//   flags   u8   bit0 compressed, bit1 encrypted, bit2 checksummed,
+//                bit3 projected (v3 only), bit4 indexed (v2 only),
+//                bit5 head CRC (v3 only); any other bit is rejected
 //   count   u64 LE   number of event records
 //   paylen  u64 LE   payload length (everything after this header)
 //   payload
 //   crc     u32 LE   CRC-32 of payload (v1/v2 only, present iff bit2 —
-//                    v3 checksums per block instead; see below)
+//                    v3 checksums its head and each block instead)
 //
-// v1 body (IOTB1): `count` self-delimiting records, each repeating every
-// string it carries (name, args, host, path) inline. The v1/v2 payload is
-// the body after compression then encryption (in that order).
+// v1 body (IOTB1, read only): `count` self-delimiting records, each
+// repeating every string it carries (name, args, host, path) inline. The
+// v1/v2 payload is the body after compression then encryption (whole-body
+// XTEA-CBC with the IV prepended), in that order.
 //
-// v2 body (IOTB2): the batch container. Strings are serialized exactly once
-// in an interned table, records are fixed-size and reference the table by
-// id — for repetitive traces this shrinks the body and makes decoding an
-// EventBatch allocation-light:
+// v2 body (IOTB2, read only): the interned table and fixed records that v3
+// splits into blocks:
 //   nstrings  u32 LE                     string-table size (id 0 = "")
 //   strings   nstrings x (u32 len + bytes), in id order
 //   nargids   u64 LE                     length of the argument-id table
@@ -36,33 +41,8 @@
 //             u32 host-id      u32 path-id      i32 fd
 //             i64 bytes        i64 offset
 //             u32 uid          u32 gid
-//
-// v2 index footer (flags bit4, BinaryOptions::index_footer): the store's
-// pool index serialized after the record section, so readers that file the
-// container (ingest_view, attach_dir) adopt it instead of scanning every
-// record — the v2 counterpart of v3's per-block mini-indexes. Layout
-// (offsets in v2footer below):
-//   footer  fixed fields + name bitmap:
-//             u8  flags        bit0 any, bit1 has_fd_path, bit2 has_io_bytes
-//             i64 min_time     min/max local_start over all records
-//             i64 max_time     (meaningful iff bit0 any)
-//             u64 records      record count (must equal the envelope count)
-//             u32 nstrings     string-table size (must match the body's)
-//             name bitmap      (nstrings + 7) / 8 bytes; bit id set iff
-//                              some record's *name* is string id `id`
-//   trailer (16 bytes, last in the body)
-//             footer_len  u64  byte length of the footer region
-//             footer_crc  u32  CRC-32 of the footer region (always present,
-//                              independent of the deferred payload CRC, so
-//                              adoption can trust the index without hashing
-//                              the whole payload)
-//             magic       u32  v2footer::kFooterMagic
-// The footer rides inside the payload, so the envelope CRC and the
-// durable-write protocol cover it like any other body bytes. Readers
-// without bit4 knowledge never see it (the bit is rejected as unknown);
-// footer-less files keep decoding exactly as before. A corrupt or
-// truncated footer never fails an open — readers fall back to scanning
-// records (parse_v2_index_footer returns nullopt with the reason).
+// Indexed v2 bodies (bit4) carry a pool-index footer after the records,
+// which the decoder skips.
 //
 // v3 body (IOTB3): the *block-structured* container — the v2 record section
 // split into fixed-record-count blocks that are independently compressed,
@@ -80,6 +60,12 @@
 //                             xtea_encrypt_block(kKeyCheckPlain, key), so
 //                             a wrong key is rejected at open rather than
 //                             surfacing as per-block padding corruption
+//     head_crc       u32 LE   ONLY when flags bit5: CRC-32 of the envelope
+//                             header and every head byte before this
+//                             field. The encoder sets bit5 exactly when
+//                             bit2 (checksummed) is set; containers
+//                             without it (older checksummed writers) open
+//                             with an unprotected head.
 //   blocks  concatenated stored blocks. Plain form: the block's records —
 //           either one group at the 81-byte v2 stride, or (flags bit3,
 //           "projected") two column groups stored back to back: a hot
@@ -115,39 +101,31 @@
 //                          the index must be trustworthy before any block
 //                          is trusted)
 //     magic       u32 LE   v3layout::kFooterMagic
-// flags bit2 (checksummed) governs the per-block CRCs; bit1 (encrypted)
-// encrypts each stored group AFTER compression, leaving head, footer and
-// trailer plaintext so index skips still work without the key; bit3
-// (projected, v3-only) selects the two-column-group record layout.
+// flags bit2 (checksummed) governs the head CRC and the per-block CRCs;
+// bit1 (encrypted) encrypts each stored group AFTER compression, leaving
+// head, footer and trailer plaintext so index skips still work without the
+// key; bit3 (projected) selects the two-column-group record layout.
 //
 // Version / read-path compatibility matrix:
-//   container                 decode_binary_batch  BatchView   BlockView
-//   v1 (any flags)            yes                  no          no
-//   v2 plain / checksummed    yes                  yes (CRC    no
-//                                                  lazy, on
-//                                                  first touch)
-//   v2 compressed/encrypted   yes                  no          no
-//   v2 indexed (footer)       yes (footer          yes (footer no
-//                             skipped)             parsed, bad
-//                                                  footer =
-//                                                  scan fallback)
-//   v3 plain / checksummed /  yes                  no          yes (blocks
-//      compressed                                              decoded +
-//                                                              verified
-//                                                              lazily)
-//   v3 encrypted              yes (with key)       no          yes (key at
-//                                                              open; groups
-//                                                              decrypted
-//                                                              lazily)
-//   v3 projected              yes                  no          yes (hot
-//                                                              group alone
-//                                                              serves
-//                                                              narrow
-//                                                              queries)
-//
-// encode_binary writes v1 (kept for compatibility), encode_binary_v2 the
-// batch container, encode_binary_v3 the block container; decode_binary and
-// decode_binary_batch accept all three.
+//   container                 written  decode_binary_batch  BlockView
+//   v1 (any flags)            no       yes                  no
+//   v2 (any flags, indexed    no       yes (index footer    no
+//      included)                       skipped)
+//   v3 without head CRC       no       yes                  yes (head
+//      (older writers)                                      unprotected)
+//   v3 plain / checksummed /  yes      yes                  yes (head CRC
+//      compressed                                           at open; blocks
+//                                                           decoded +
+//                                                           verified lazily)
+//   v3 encrypted              yes      yes (with key)       yes (key at
+//                                                           open; groups
+//                                                           decrypted
+//                                                           lazily)
+//   v3 projected              yes      yes                  yes (hot group
+//                                                           alone serves
+//                                                           narrow queries)
+// UnifiedTraceStore::ingest_view serves v3 through a BlockView and imports
+// v1/v2 through decode_binary_batch into an owned pool.
 //
 // Durability / recovery protocol
 // ------------------------------
@@ -243,86 +221,16 @@ inline constexpr std::uint64_t kKeyCheckPlain = 0x33425846'1077B3AAULL;
 }
 }  // namespace v3layout
 
-/// Byte layout of the optional IOTB2 index footer (see the container
-/// comment above). Shared by the encoder, trace::BatchView and the
-/// corruption tests. Offsets are within the footer region.
-namespace v2footer {
-inline constexpr std::size_t kFlags = 0;      // u8
-inline constexpr std::size_t kMinTime = 1;    // i64
-inline constexpr std::size_t kMaxTime = 9;    // i64
-inline constexpr std::size_t kRecords = 17;   // u64
-inline constexpr std::size_t kNStrings = 25;  // u32
-inline constexpr std::size_t kFixedSize = 29; // name bitmap follows
-
-inline constexpr std::uint8_t kAny = 0x01;
-inline constexpr std::uint8_t kHasFdPath = 0x02;
-inline constexpr std::uint8_t kHasIoBytes = 0x04;
-
-/// Trailer: footer_len u64 + footer_crc u32 + magic u32.
-inline constexpr std::size_t kTrailerSize = 16;
-inline constexpr std::uint32_t kFooterMagic = 0x32495846u;  // "FXI2" LE
-}  // namespace v2footer
-
-/// A v2 index footer in parsed form: everything UnifiedTraceStore's pool
-/// index needs except the interned transfer-call ids (those are looked up
-/// in the string table at adoption time).
-struct PoolIndexFooter {
-  bool any = false;
-  SimTime min_time = 0;
-  SimTime max_time = 0;
-  bool has_fd_path = false;
-  bool has_io_bytes = false;
-  std::uint64_t records = 0;
-  /// Name-presence filter, one bit per string id, (nstrings + 7) / 8 bytes.
-  std::vector<std::uint8_t> name_bitmap;
-
-  [[nodiscard]] bool has_name(StrId id) const noexcept {
-    return (id >> 3) < name_bitmap.size() &&
-           ((name_bitmap[id >> 3] >> (id & 7u)) & 1u) != 0;
-  }
-};
-
-/// Parse the index-footer region of an indexed v2 body — `tail` is
-/// everything after the `count x 81`-byte record section. Validates the
-/// footer's own CRC and cross-checks the record/string counts against the
-/// envelope, so a corrupt, truncated or mismatched footer degrades to
-/// nullopt (with the reason in `*error` when given) rather than an open
-/// failure; callers fall back to scanning records.
-[[nodiscard]] std::optional<PoolIndexFooter> parse_v2_index_footer(
-    std::span<const std::uint8_t> tail, std::uint64_t expect_records,
-    std::uint32_t expect_nstrings, std::string* error = nullptr);
-
 struct BinaryOptions {
   bool compress = false;
   bool encrypt = false;
   bool checksum = true;
-  /// Columnar projection (v3 only): store each block as a hot + cold
-  /// column group so narrow queries decode a fraction of the bytes.
-  /// Rejected (ConfigError) by the v1/v2 encoders.
+  /// Columnar projection: store each block as a hot + cold column group
+  /// so narrow queries decode a fraction of the bytes.
   bool project = false;
-  /// Append the pool-index footer (v2 only; flags bit4) so readers adopt
-  /// the index instead of scanning records. Ignored by the v1/v3 encoders
-  /// (v3 always carries per-block mini-indexes).
-  bool index_footer = false;
   /// Required when encrypt is true.
   std::optional<CipherKey> key;
-  /// IV derivation seed for v1/v2 whole-body encryption (vary per file).
-  /// v3 derives per-block IVs from the block ordinal instead.
-  std::uint64_t iv_seed = 0x1010;
 };
-
-/// Serialize events to the v1 (IOTB1) container.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options);
-
-/// Serialize a batch to the v2 (IOTB2) container: string table once,
-/// fixed-size records referencing it.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary_v2(
-    const EventBatch& batch, const BinaryOptions& options);
-
-/// Convenience: intern `events` into a batch, then encode as v2.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary_v2(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options);
 
 /// Serialize a batch to the v3 (IOTB3) block container: per-block
 /// compression, CRC and encryption plus the footer mini-index, with
@@ -370,6 +278,7 @@ struct BinaryHeader {
   bool checksummed = false;
   bool projected = false;  // v3 columnar projection (flags bit3)
   bool indexed = false;    // v2 pool-index footer (flags bit4)
+  bool head_crc = false;   // v3 head CRC (flags bit5)
   std::uint64_t count = 0;
   std::uint64_t payload_length = 0;
 };

@@ -106,14 +106,6 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     string_bytes_ += len;
     pos += len;
   }
-  if (!strings_.front().empty()) {
-    throw FormatError("binary trace v2: string id 0 must be empty");
-  }
-  std::unordered_set<std::string_view> seen(strings_.begin(), strings_.end());
-  if (seen.size() != strings_.size()) {
-    throw FormatError("binary trace v2: string table is not interned");
-  }
-
   need(8);
   const std::uint64_t nargids = load_u64(body.data() + pos);
   pos += 8;
@@ -127,6 +119,34 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   }
   args_ = body.subspan(pos, static_cast<std::size_t>(nargids) * 4);
   pos += args_.size();
+
+  need(4);
+  nominal_ = load_u32(body.data() + pos);
+  pos += 4;
+  std::uint64_t key_check = 0;
+  if (header_.encrypted) {
+    need(8);
+    key_check = load_u64(body.data() + pos);
+    pos += 8;
+  }
+  if (header_.head_crc) {
+    // Everything above was only bounds-checked; the CRC (over the envelope
+    // header too) vouches for the head before any of it is interpreted.
+    need(4);
+    const std::uint32_t stored = load_u32(body.data() + pos);
+    if (crc32(data.first(kContainerHeaderSize + pos)) != stored) {
+      throw FormatError("binary trace v3: head checksum mismatch");
+    }
+    pos += 4;
+  }
+
+  if (!strings_.front().empty()) {
+    throw FormatError("binary trace v2: string id 0 must be empty");
+  }
+  std::unordered_set<std::string_view> seen(strings_.begin(), strings_.end());
+  if (seen.size() != strings_.size()) {
+    throw FormatError("binary trace v2: string table is not interned");
+  }
   if (nargids > 0) {
     const std::uint32_t max_arg_id = scan::max_u32_le(
         args_.data(), static_cast<std::size_t>(nargids));
@@ -135,10 +155,6 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
           "binary trace v2: arg string id %u out of range", max_arg_id));
     }
   }
-
-  need(4);
-  nominal_ = load_u32(body.data() + pos);
-  pos += 4;
   count_ = static_cast<std::size_t>(header_.count);
   if (count_ > 0 && nominal_ == 0) {
     throw FormatError("binary trace v3: block_records must be positive");
@@ -146,16 +162,12 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   if (nominal_ == 0) {
     nominal_ = 1;  // keep block_of well-defined on empty containers
   }
-  if (header_.encrypted) {
-    // The head's key check is the known constant encrypted under the
-    // container key: reject a wrong key here, at open, instead of letting
-    // it surface later as per-block "padding corrupt" decode failures.
-    need(8);
-    const std::uint64_t key_check = load_u64(body.data() + pos);
-    pos += 8;
-    if (key_check != xtea_encrypt_block(v3layout::kKeyCheckPlain, *key_)) {
-      throw FormatError("binary trace v3: wrong key");
-    }
+  // The head's key check is the known constant encrypted under the
+  // container key: reject a wrong key here, at open, instead of letting it
+  // surface later as per-block "padding corrupt" decode failures.
+  if (header_.encrypted &&
+      key_check != xtea_encrypt_block(v3layout::kKeyCheckPlain, *key_)) {
+    throw FormatError("binary trace v3: wrong key");
   }
 
   // --- trailer + footer ---------------------------------------------------

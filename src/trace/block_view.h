@@ -1,12 +1,13 @@
-// Lazy read path over the IOTB3 block container (block_view.cpp): the
-// counterpart of BatchView for compressed/checksummed/encrypted cold
-// storage. The constructor validates only the cheap, always-needed parts —
-// envelope bounds, the uncompressed head (string + argument-id tables,
-// walked and range-checked exactly as BatchView does, plus the key check
-// for encrypted containers: a wrong key is rejected at open, not at first
-// block touch) and the footer mini-index (whose own CRC is always
-// verified: the index must be trustworthy before any skip decision is made
-// on it). Record blocks are NOT touched at open.
+// Lazy read path over the IOTB3 block container (block_view.cpp), the one
+// zero-copy reader: plain, checksummed, compressed, encrypted and projected
+// containers alike. The constructor validates only the cheap,
+// always-needed parts — envelope bounds, the uncompressed head (string +
+// argument-id tables, walked and range-checked; verified against the head
+// CRC when the container carries one; plus the key check for encrypted
+// containers: a wrong key is rejected at open, not at first block touch)
+// and the footer mini-index (whose own CRC is always verified: the index
+// must be trustworthy before any skip decision is made on it). Record
+// blocks are NOT touched at open.
 //
 // The first access to a block — record(), for_each(), block_bytes() —
 // pays for exactly that block: CRC over the stored bytes (when the

@@ -1,12 +1,16 @@
 // Tests for the batched event pipeline: StringPool interning, EventBatch
 // round-trips, batched sink delivery equivalence, per-rank batch buffering
-// in the capture layers, the IOTB2 binary container (and v1 compatibility),
+// in the capture layers, decoding the committed IOTB1/IOTB2 fixtures,
 // batch ingestion into the unified store, and batch-driven replay.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "analysis/unified_store.h"
+#include "legacy_fixtures.h"
 #include "frameworks/partrace.h"
 #include "fs/memfs.h"
 #include "interpose/tracers.h"
@@ -241,11 +245,11 @@ TEST(BatchedSinks, BatchSinkIsReusableAfterTake) {
   const EventBatch first = sink.take();
   EXPECT_EQ(first.size(), 1u);
   // The fresh batch must keep the id-0-is-empty pool invariant, so events
-  // with empty host/path still round-trip (and v2-encode) correctly.
+  // with empty host/path still round-trip (and encode) correctly.
   TraceEvent ev = make_syscall("SYS_open", {"/f"}, 4);
   sink.on_event(ev);
   EXPECT_EQ(sink.batch().to_events(), std::vector<TraceEvent>{ev});
-  const auto blob = encode_binary_v2(sink.batch(), {});
+  const auto blob = encode_binary_v3(sink.batch(), {});
   EXPECT_EQ(decode_binary(blob), std::vector<TraceEvent>{ev});
 }
 
@@ -312,130 +316,310 @@ TEST(BatchedCapture, VfsShimFlushDrainsBatches) {
   EXPECT_EQ(shim.events_captured(), 12);
 }
 
-class BinaryV2RoundTrip : public ::testing::TestWithParam<int> {
- protected:
-  [[nodiscard]] static BinaryOptions options_for(int mask) {
-    BinaryOptions o;
-    o.compress = (mask & 1) != 0;
-    o.encrypt = (mask & 2) != 0;
-    o.checksum = (mask & 4) != 0;
-    if (o.encrypt) {
-      o.key = derive_key("test-key");
+// The committed IOTB1/IOTB2 fixtures (tests/legacy_fixtures.h) are the
+// only v1/v2 bytes left: nothing writes those versions any more, so every
+// decode test below reads or mutates them.
+
+[[nodiscard]] std::optional<CipherKey> fixture_key(
+    const testing::LegacyFixture& f) {
+  return f.encrypted ? std::optional<CipherKey>(testing::legacy_key())
+                     : std::nullopt;
+}
+
+[[nodiscard]] const testing::LegacyFixture& fixture(const char* file) {
+  for (const testing::LegacyFixture& f : testing::legacy_fixtures()) {
+    if (std::string_view(f.file) == file) {
+      return f;
     }
-    return o;
+  }
+  throw ConfigError(std::string("no such fixture: ") + file);
+}
+
+TEST(LegacyDecode, EveryFixtureDecodesToItsEvents) {
+  const std::vector<TraceEvent> original = testing::legacy_events();
+  for (const testing::LegacyFixture& f : testing::legacy_fixtures()) {
+    SCOPED_TRACE(f.file);
+    const std::vector<std::uint8_t> bytes = testing::read_legacy(f);
+    ASSERT_FALSE(bytes.empty());
+    const BinaryHeader h = peek_binary_header(bytes);
+    EXPECT_EQ(h.version, f.version);
+    EXPECT_EQ(h.compressed, f.compressed);
+    EXPECT_EQ(h.encrypted, f.encrypted);
+    EXPECT_EQ(h.checksummed, f.checksummed);
+    EXPECT_EQ(h.indexed, f.indexed);
+    EXPECT_FALSE(h.head_crc);
+    EXPECT_EQ(h.count, original.size());
+    EXPECT_TRUE(looks_binary(bytes));
+    EXPECT_EQ(decode_binary(bytes, fixture_key(f)), original);
+    const EventBatch batch = decode_binary_batch(bytes, fixture_key(f));
+    EXPECT_EQ(batch.to_events(), original);
+    if (f.version >= 2) {
+      // The decoded pool is the encoded pool: dense and duplicate-free.
+      EXPECT_EQ(batch.pool().size(),
+                EventBatch::from_events(original).pool().size());
+    }
+  }
+}
+
+TEST(LegacyDecode, HugeCountsAnywhereAreFormatErrorNotBadAlloc) {
+  // The unchecksummed fixtures are decoded whatever their bytes say: any 8
+  // bytes overwritten with a huge count (the arg-id table size among them)
+  // must surface as FormatError, never bad_alloc/length_error.
+  for (const char* file : {"v1.iotb1", "v2_plain.iotb2"}) {
+    SCOPED_TRACE(file);
+    std::vector<std::uint8_t> bytes = testing::read_legacy(fixture(file));
+    if (file == std::string_view("v1.iotb1")) {
+      bytes[6] &= static_cast<std::uint8_t>(~0x04u);  // drop the CRC flag
+      bytes.resize(bytes.size() - 4);
+    }
+    const std::size_t header = 6 + 1 + 8 + 8;
+    for (std::size_t pos = header; pos + 8 <= bytes.size(); pos += 7) {
+      std::vector<std::uint8_t> corrupted = bytes;
+      for (int i = 0; i < 8; ++i) {
+        corrupted[pos + static_cast<std::size_t>(i)] = 0xFF;
+      }
+      try {
+        (void)decode_binary_batch(corrupted);  // some positions still decode
+      } catch (const FormatError&) {
+        // expected failure mode
+      }
+    }
+  }
+}
+
+TEST(LegacyDecode, EncryptedNeedsKey) {
+  const std::vector<std::uint8_t> bytes =
+      testing::read_legacy(fixture("v2_encrypted.iotb2"));
+  EXPECT_THROW((void)decode_binary(bytes), FormatError);
+  EXPECT_THROW((void)decode_binary(bytes, derive_key("wrong")), FormatError);
+  EXPECT_EQ(decode_binary(bytes, testing::legacy_key()),
+            testing::legacy_events());
+}
+
+// --- hostile v1/v2 bytes: what the import path must reject -------------
+//
+// The decoder behind ingest_view's IOTB1/IOTB2 import owns every check the
+// retired zero-copy v2 reader also made. Each test below patches an
+// unchecksummed fixture (so the structural check, not the CRC, is what
+// fires) and expects FormatError both from decode_binary_batch and from
+// ingest_view, which must then file nothing.
+
+// Envelope field offsets (binary_format.h): magic 0..6, flags 6, count
+// 7..15, payload length 15..23; the v2 body starts right after.
+constexpr std::size_t kFlagsOff = 6;
+constexpr std::size_t kCountOff = 7;
+constexpr std::size_t kPaylenOff = 15;
+
+void put_u32(std::vector<std::uint8_t>& b, std::size_t off, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+void put_u64(std::vector<std::uint8_t>& b, std::size_t off, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    b[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+[[nodiscard]] std::uint64_t get_u64(const std::vector<std::uint8_t>& b,
+                                    std::size_t off) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
+  }
+  return v;
+}
+
+[[nodiscard]] std::uint32_t get_u32(const std::vector<std::uint8_t>& b,
+                                    std::size_t off) {
+  return static_cast<std::uint32_t>(get_u64(b, off) & 0xFFFFFFFFu);
+}
+
+/// The v2_plain fixture and the body offsets of its sections.
+struct PlainV2 {
+  std::vector<std::uint8_t> bytes =
+      testing::read_legacy(fixture("v2_plain.iotb2"));
+  std::size_t strings = kContainerHeaderSize;  // nstrings, then entries
+  std::size_t arg_ids = 0;                     // nargids, then the ids
+  std::size_t records = 0;                     // count * v2 stride
+
+  PlainV2() {
+    std::size_t pos = strings + 4;
+    for (std::uint32_t i = 0; i < get_u32(bytes, strings); ++i) {
+      pos += 4 + get_u32(bytes, pos);
+    }
+    arg_ids = pos;
+    records = arg_ids + 8 + 4 * get_u64(bytes, arg_ids);
+  }
+  /// Byte `field` of the last record.
+  [[nodiscard]] std::size_t last_record(std::size_t field) const {
+    return bytes.size() - v2layout::kStride + field;
   }
 };
 
-TEST_P(BinaryV2RoundTrip, EncodeDecodeAllFields) {
-  const BinaryOptions options = options_for(GetParam());
-  const auto original = sample_stream();
-  const auto blob = encode_binary_v2(original, options);
-  const auto decoded = decode_binary(
-      blob, options.encrypt ? options.key : std::nullopt);
-  ASSERT_EQ(decoded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(decoded[i], original[i]) << "event " << i;
-  }
+/// v1.iotb1 without its payload CRC, so patched bytes reach the decoder.
+[[nodiscard]] std::vector<std::uint8_t> unchecksummed_v1() {
+  std::vector<std::uint8_t> bytes = testing::read_legacy(fixture("v1.iotb1"));
+  bytes[kFlagsOff] &= static_cast<std::uint8_t>(~0x04u);
+  bytes.resize(bytes.size() - 4);
+  return bytes;
 }
 
-INSTANTIATE_TEST_SUITE_P(FlagCombos, BinaryV2RoundTrip,
-                         ::testing::Range(0, 8));
-
-TEST(BinaryV2, HeaderReportsVersion) {
-  const auto v1 = encode_binary(sample_stream(), {});
-  const auto v2 = encode_binary_v2(sample_stream(), {});
-  EXPECT_EQ(peek_binary_header(v1).version, 1);
-  EXPECT_EQ(peek_binary_header(v2).version, 2);
-  EXPECT_EQ(peek_binary_header(v2).count, sample_stream().size());
-  EXPECT_TRUE(looks_binary(v1));
-  EXPECT_TRUE(looks_binary(v2));
-}
-
-TEST(BinaryV2, V1ContainersStillDecode) {
-  const auto original = sample_stream();
-  const auto v1_blob = encode_binary(original, {});
-  EXPECT_EQ(decode_binary(v1_blob), original);
-  // ... including straight into batch form.
-  const EventBatch batch = decode_binary_batch(v1_blob);
-  EXPECT_EQ(batch.to_events(), original);
-}
-
-TEST(BinaryV2, DecodesToBatchWithInternedTable) {
-  const auto original = sample_stream();
-  const auto blob = encode_binary_v2(original, {});
-  const EventBatch batch = decode_binary_batch(blob);
-  ASSERT_EQ(batch.size(), original.size());
-  EXPECT_EQ(batch.to_events(), original);
-  // The decoded pool is the encoded pool: dense and duplicate-free.
-  EXPECT_EQ(batch.pool().size(),
-            EventBatch::from_events(original).pool().size());
-}
-
-TEST(BinaryV2, StringTableShrinksRepetitiveTraces) {
-  std::vector<TraceEvent> events;
-  for (int i = 0; i < 2000; ++i) {
-    TraceEvent ev = make_syscall(
-        "SYS_write", {"5", "65536", strprintf("%d", i * 65536)}, 65536);
-    ev.host = "host13.lanl.gov";
-    ev.path = "/pfs/shared/out.dat";
-    ev.rank = 7;
-    events.push_back(ev);
-  }
-  BinaryOptions plain;
-  plain.checksum = false;
-  // Interning alone (no compression, no varints) must clearly beat v1's
-  // inline strings: every name/host/path repeats per record there.
-  EXPECT_LT(encode_binary_v2(events, plain).size(),
-            encode_binary(events, plain).size() * 3 / 4);
-}
-
-TEST(BinaryV2, ChecksumDetectsCorruption) {
-  const auto blob = encode_binary_v2(sample_stream(), BinaryOptions{});
-  auto corrupted = blob;
-  corrupted[corrupted.size() / 2] ^= 0xFF;
-  EXPECT_THROW((void)decode_binary(corrupted), FormatError);
-}
-
-TEST(BinaryV1, HugeRecordCountIsFormatErrorNotBadAlloc) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  auto blob = encode_binary(sample_stream(), plain);
-  // count is the u64 at offset 7 (after magic + flags).
-  for (int i = 0; i < 8; ++i) {
-    blob[7 + static_cast<std::size_t>(i)] = 0xFF;
-  }
-  EXPECT_THROW((void)decode_binary(blob), FormatError);
-}
-
-TEST(BinaryV2, HugeArgTableCountIsFormatErrorNotBadAlloc) {
-  BinaryOptions plain;
-  plain.checksum = false;  // unchecksummed, so the tampered body is decoded
-  auto blob = encode_binary_v2(sample_stream(), plain);
-  // The arg-id count lives right after the string table; rather than
-  // locating it, just assert that *any* 8 bytes overwritten with a huge
-  // count still surfaces as FormatError (never bad_alloc/length_error).
-  const std::size_t header = 6 + 1 + 8 + 8;
-  for (std::size_t pos = header; pos + 8 <= blob.size(); pos += 7) {
-    auto corrupted = blob;
-    for (int i = 0; i < 8; ++i) {
-      corrupted[pos + static_cast<std::size_t>(i)] = 0xFF;
-    }
+/// Both import entry points reject `bytes` with a FormatError whose message
+/// names `check` (the check that must fire), and the store files nothing.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     std::string_view check) {
+  const auto expect_check = [check](const auto& fn) {
     try {
-      (void)decode_binary(corrupted);  // some positions may still decode
-    } catch (const FormatError&) {
-      // expected failure mode
+      fn();
+      ADD_FAILURE() << "accepted; expected: " << check;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string_view(e.what()).find(check), std::string_view::npos)
+          << e.what() << "; expected: " << check;
     }
+  };
+  expect_check([&] { (void)decode_binary_batch(bytes); });
+  const std::string path = "batch_test_hostile.iotb";
+  write_binary_file(path, bytes);
+  analysis::UnifiedTraceStore store;
+  expect_check([&] { store.ingest_view(path, {{"framework", "test"}}); });
+  EXPECT_EQ(store.pool_count(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(LegacyHostile, UnchecksummedFixturesDecodeBeforeAnyPatch) {
+  // The baseline every patch below departs from.
+  EXPECT_EQ(decode_binary(PlainV2().bytes), testing::legacy_events());
+  EXPECT_EQ(decode_binary(unchecksummed_v1()), testing::legacy_events());
+}
+
+TEST(LegacyHostile, ChecksummedFixturesRejectAFlippedByte) {
+  // The payload CRC is checked before decryption, decompression and any
+  // structural check, so every checksummed v1/v2 shape fails the same way.
+  for (const testing::LegacyFixture& f : testing::legacy_fixtures()) {
+    if (f.version == 3 || !f.checksummed) {
+      continue;
+    }
+    SCOPED_TRACE(f.file);
+    std::vector<std::uint8_t> bytes = testing::read_legacy(f);
+    bytes[bytes.size() / 2] ^= 0x01;
+    expect_rejected(bytes, "checksum mismatch");
   }
 }
 
-TEST(BinaryV2, EncryptedNeedsKey) {
-  BinaryOptions o;
-  o.encrypt = true;
-  o.key = derive_key("k1");
-  const auto blob = encode_binary_v2(sample_stream(), o);
-  EXPECT_THROW((void)decode_binary(blob), FormatError);
-  EXPECT_EQ(decode_binary(blob, derive_key("k1")).size(),
-            sample_stream().size());
+TEST(LegacyHostile, RejectsTruncatedRecordSection) {
+  // Half a record cut off the end, the payload length patched to match:
+  // the envelope is self-consistent, the record section is not.
+  PlainV2 v2;
+  std::vector<std::uint8_t> v1 = unchecksummed_v1();
+  for (std::vector<std::uint8_t>* bytes : {&v2.bytes, &v1}) {
+    const std::size_t cut = v2layout::kStride / 2;
+    bytes->resize(bytes->size() - cut);
+    put_u64(*bytes, kPaylenOff, get_u64(*bytes, kPaylenOff) - cut);
+    expect_rejected(*bytes, "truncated record");
+  }
+}
+
+TEST(LegacyHostile, RejectsOversizedRecordSection) {
+  // Trailing garbage after the records, the payload length covering it.
+  PlainV2 v2;
+  std::vector<std::uint8_t> v1 = unchecksummed_v1();
+  for (std::vector<std::uint8_t>* bytes : {&v2.bytes, &v1}) {
+    bytes->insert(bytes->end(), {0xde, 0xad, 0xbe, 0xef});
+    put_u64(*bytes, kPaylenOff, get_u64(*bytes, kPaylenOff) + 4);
+    expect_rejected(*bytes, "trailing bytes");
+  }
+}
+
+TEST(LegacyHostile, RejectsOverstatedRecordCount) {
+  PlainV2 v2;
+  std::vector<std::uint8_t> v1 = unchecksummed_v1();
+  for (std::vector<std::uint8_t>* bytes : {&v2.bytes, &v1}) {
+    put_u64(*bytes, kCountOff, get_u64(*bytes, kCountOff) + 3);
+    expect_rejected(*bytes, "truncated record");
+    // A wildly corrupt count must be rejected up front, not reserved.
+    put_u64(*bytes, kCountOff, ~std::uint64_t{0});
+    expect_rejected(*bytes, "record count exceeds payload");
+  }
+}
+
+TEST(LegacyHostile, RejectsOverflowingPayloadLength) {
+  // A payload length chosen so header + length wraps around 2^64 to the
+  // true buffer size must not pass the envelope check.
+  PlainV2 v2;
+  std::vector<std::uint8_t> v1 = unchecksummed_v1();
+  for (std::vector<std::uint8_t>* bytes : {&v2.bytes, &v1}) {
+    put_u64(*bytes, kPaylenOff,
+            ~std::uint64_t{0} - kContainerHeaderSize + 1 +
+                (bytes->size() - kContainerHeaderSize));
+    expect_rejected(*bytes, "length mismatch");
+  }
+}
+
+TEST(LegacyHostile, RejectsDuplicateStringTableEntries) {
+  // Re-serialize the table with its last entry replaced by a copy of the
+  // first non-empty one: every id stays in range, but the table is no
+  // longer interned, and records could reference either copy.
+  PlainV2 v2;
+  std::vector<std::string> table;
+  for (std::size_t i = 0, pos = v2.strings + 4;
+       i < get_u32(v2.bytes, v2.strings); ++i) {
+    const std::uint32_t len = get_u32(v2.bytes, pos);
+    table.emplace_back(reinterpret_cast<const char*>(&v2.bytes[pos + 4]), len);
+    pos += 4 + len;
+  }
+  ASSERT_GE(table.size(), 3u);
+  table.back() = table[1];
+  std::vector<std::uint8_t> bytes(v2.bytes.begin(),
+                                  v2.bytes.begin() + kContainerHeaderSize + 4);
+  for (const std::string& entry : table) {
+    const std::size_t at = bytes.size();
+    bytes.resize(at + 4);
+    put_u32(bytes, at, static_cast<std::uint32_t>(entry.size()));
+    bytes.insert(bytes.end(), entry.begin(), entry.end());
+  }
+  bytes.insert(bytes.end(),
+               v2.bytes.begin() + static_cast<long>(v2.arg_ids),
+               v2.bytes.end());
+  put_u64(bytes, kPaylenOff, bytes.size() - kContainerHeaderSize);
+  expect_rejected(bytes, "not interned");
+}
+
+TEST(LegacyHostile, HugeStringTableCountIsFormatErrorNotBadAlloc) {
+  PlainV2 v2;
+  put_u32(v2.bytes, v2.strings, 0xFFFFFFFFu);
+  expect_rejected(v2.bytes, "string table exceeds payload");
+  put_u32(v2.bytes, v2.strings, 0);  // id 0 ("") must exist
+  expect_rejected(v2.bytes, "empty string table");
+}
+
+TEST(LegacyHostile, RejectsOutOfRangeStringId) {
+  for (const std::size_t field :
+       {v2layout::kName, v2layout::kHost, v2layout::kPath}) {
+    PlainV2 v2;
+    put_u32(v2.bytes, v2.last_record(field), 0xFFFFu);
+    expect_rejected(v2.bytes, "string id 65535 out of range");
+  }
+}
+
+TEST(LegacyHostile, RejectsOutOfRangeArgIdValue) {
+  PlainV2 v2;
+  ASSERT_GT(get_u64(v2.bytes, v2.arg_ids), 0u);  // the fixture has args
+  put_u32(v2.bytes, v2.arg_ids + 8, 0xFFFFFFFFu);
+  expect_rejected(v2.bytes, "string id 4294967295 out of range");
+}
+
+TEST(LegacyHostile, RejectsArgSliceOverrun) {
+  PlainV2 v2;
+  put_u32(v2.bytes, v2.last_record(v2layout::kArgsCount), 0xFFFFu);
+  expect_rejected(v2.bytes, "record args out of range");
+}
+
+TEST(LegacyHostile, RejectsBadEventClass) {
+  PlainV2 v2;
+  v2.bytes[v2.last_record(v2layout::kCls)] = 0xFF;
+  expect_rejected(v2.bytes, "bad event class");
 }
 
 }  // namespace

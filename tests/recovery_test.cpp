@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/dfg/dfg.h"
+#include "analysis/dfg/live_dfg.h"
 #include "analysis/store_manifest.h"
 #include "analysis/unified_store.h"
 #include "trace/binary_format.h"
@@ -800,6 +801,59 @@ TEST(SkipDamaged, DfgMatchesStoreWithoutTheDamagedBlock) {
   const DamageCounters after = store.damage_counters();
   EXPECT_EQ(after.skipped_blocks - before.skipped_blocks, 1u);
   EXPECT_EQ(after.skipped_records - before.skipped_records, 16u);
+  std::filesystem::remove_all(dir);
+}
+
+// The live DFG maintainer folds each filed range through the same scan
+// driver: attaching with one set changes neither the recovery report nor
+// the served store, and its snapshot follows the scan policy exactly as a
+// cold build does — the healthy blocks' graph with the skip counted once
+// under skip_damaged, the cold build's own FormatError under fail-fast.
+TEST(SkipDamaged, LiveDfgFollowsTheScanPolicy) {
+  const std::string dir = make_scratch_dir("skip_live_dfg");
+  const DamagedFixture fx = make_damaged_container(dir);
+  UnifiedTraceStore healthy;
+  healthy.ingest(EventBatch::from_events(fx.healthy_events),
+                 {{"framework", "test"}});
+
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(skip ? "skip_damaged" : "fail-fast");
+    UnifiedTraceStore bare;
+    bare.set_scan_policy({.skip_damaged = skip});
+    const StoreHealth bare_health = bare.attach_dir(dir);
+
+    UnifiedTraceStore store;
+    store.set_scan_policy({.skip_damaged = skip});
+    const std::unique_ptr<dfg::LiveDfg> live = dfg::set_live_dfg(store);
+    const StoreHealth health = store.attach_dir(dir);
+    EXPECT_EQ(health.recovered_eras, bare_health.recovered_eras);
+    EXPECT_EQ(health.quarantined, bare_health.quarantined);
+    EXPECT_TRUE(health.healthy());
+    EXPECT_EQ(store.pool_count(), bare.pool_count());
+
+    if (skip) {
+      EXPECT_EQ(store.damage_counters(), (DamageCounters{1, 16}));
+      const dfg::Dfg snap = live->snapshot();
+      EXPECT_EQ(snap, dfg::DfgBuilder(healthy).build());
+      EXPECT_EQ(snap, dfg::DfgBuilder(store).build());
+      EXPECT_EQ(store.damage_counters(), (DamageCounters{2, 32}));
+      continue;
+    }
+    std::string cold_error;
+    try {
+      (void)dfg::DfgBuilder(store).build();
+    } catch (const FormatError& err) {
+      cold_error = err.what();
+    }
+    ASSERT_FALSE(cold_error.empty()) << "a damaged block must fail the build";
+    try {
+      (void)live->snapshot();
+      ADD_FAILURE() << "the live snapshot must raise the fold's error";
+    } catch (const FormatError& err) {
+      EXPECT_EQ(std::string(err.what()), cold_error);
+    }
+    EXPECT_EQ(store.damage_counters(), (DamageCounters{0, 0}));
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -237,7 +237,7 @@ void expect_programs_equal(const std::vector<mpi::Program>& a,
   }
 }
 
-TEST_F(ReplayFixture, ViewBackedGenerationMatchesBatchGeneration) {
+TEST_F(ReplayFixture, ContainerGenerationMatchesBatchGeneration) {
   const frameworks::TraceRunResult result = capture_with_partrace();
   trace::EventBatch batch;
   for (const trace::RankStream& rs : result.bundle.ranks) {
@@ -246,8 +246,8 @@ TEST_F(ReplayFixture, ViewBackedGenerationMatchesBatchGeneration) {
     }
   }
   const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(batch, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
+      trace::encode_binary_v3(batch, trace::BinaryOptions{}, 64);
+  const trace::EventBatch view = trace::decode_binary_batch(bytes);
 
   const std::vector<mpi::Program> from_batch =
       generate_pseudo_app(batch, result.bundle.dependencies);
@@ -256,7 +256,7 @@ TEST_F(ReplayFixture, ViewBackedGenerationMatchesBatchGeneration) {
   expect_programs_equal(from_batch, from_view);
 }
 
-TEST_F(ReplayFixture, ViewBackedReplayMatchesBatchReplay) {
+TEST_F(ReplayFixture, ContainerReplayMatchesBatchReplay) {
   const frameworks::TraceRunResult result = capture_with_partrace();
   trace::EventBatch batch;
   for (const trace::RankStream& rs : result.bundle.ranks) {
@@ -265,8 +265,8 @@ TEST_F(ReplayFixture, ViewBackedReplayMatchesBatchReplay) {
     }
   }
   const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(batch, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
+      trace::encode_binary_v3(batch, trace::BinaryOptions{}, 64);
+  const trace::EventBatch view = trace::decode_binary_batch(bytes);
 
   Replayer batch_replayer(cluster_, std::make_shared<pfs::Pfs>());
   const ReplayResult from_batch =
@@ -279,10 +279,10 @@ TEST_F(ReplayFixture, ViewBackedReplayMatchesBatchReplay) {
   EXPECT_EQ(from_batch.bundle.total_events(), from_view.bundle.total_events());
 }
 
-TEST_F(ReplayFixture, ViewBackedGenerationRejectsEmptyContainer) {
+TEST_F(ReplayFixture, ContainerGenerationRejectsEmptyContainer) {
   const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(trace::EventBatch{}, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
+      trace::encode_binary_v3(trace::EventBatch{}, trace::BinaryOptions{});
+  const trace::EventBatch view = trace::decode_binary_batch(bytes);
   EXPECT_THROW((void)generate_pseudo_app(view, {}), FormatError);
 }
 

@@ -1,19 +1,21 @@
-// Tests for the zero-copy read paths: the IOTB2 BatchView/RecordView pair
-// (PR 3) — decoder equivalence, hostile-input rejection, the deferred
-// payload CRC — and the IOTB3 BlockView (per-block CRC/compression/
-// encryption, columnar projection, footer mini-index cross-checks,
-// lying-index rejection, block-parallel decode), plus MappedTraceFile,
-// view/block-backed and compacted unified-store sources, the pool-index
-// query skips, and the cold-tier era spill.
+// Tests for the zero-copy read path: the IOTB3 BlockView (hostile-input
+// rejection, the head CRC, per-block CRC/compression/encryption, columnar
+// projection, footer mini-index cross-checks, lying-index rejection,
+// block-parallel decode), plus MappedTraceFile, block-backed and compacted
+// unified-store sources, the pool-index query skips, the cold-tier era
+// spill, and the import of the committed IOTB1/IOTB2 fixtures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <thread>
 
 #include "analysis/dfg/dfg.h"
 #include "analysis/unified_store.h"
+#include "legacy_fixtures.h"
 #include "trace/binary_format.h"
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
@@ -69,7 +71,15 @@ namespace {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_sample(
     const BinaryOptions& options = {}) {
-  return encode_binary_v2(EventBatch::from_events(sample_stream()), options);
+  return encode_binary_v3(EventBatch::from_events(sample_stream()), options);
+}
+
+/// encode_sample without checksums, so a test's edit reaches the
+/// structural checks instead of the head or block CRC.
+[[nodiscard]] std::vector<std::uint8_t> encode_plain_sample() {
+  BinaryOptions plain;
+  plain.checksum = false;
+  return encode_sample(plain);
 }
 
 // Header field offsets of the shared container envelope (binary_format.h):
@@ -96,32 +106,42 @@ void put_u64(std::vector<std::uint8_t>& buf, std::size_t off,
   return v;
 }
 
-TEST(BatchView, MatchesDecodedBatch) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  const EventBatch decoded = decode_binary_batch(bytes);
-  const BatchView view(bytes);
-
-  ASSERT_EQ(view.size(), decoded.size());
-  ASSERT_EQ(view.string_count(), decoded.pool().size());
-  for (StrId id = 0; id < view.string_count(); ++id) {
-    EXPECT_EQ(view.string(id), decoded.pool().view(id));
+[[nodiscard]] std::uint32_t get_u32(const std::vector<std::uint8_t>& buf,
+                                    std::size_t off) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(buf[off + i]) << (8 * i);
   }
-  ASSERT_EQ(view.arg_id_count(), decoded.arg_ids().size());
-
-  view.for_each([&](std::size_t i, const RecordView& rec,
-                    std::uint32_t args_begin) {
-    const EventRecord& want = decoded.record(i);
-    EXPECT_EQ(rec.to_record(args_begin), want) << "record " << i;
-    EXPECT_EQ(args_begin, want.args_begin) << "record " << i;
-    EXPECT_EQ(view.materialize(i, args_begin), decoded.materialize(i))
-        << "record " << i;
-  });
+  return v;
 }
 
-TEST(BatchView, HeaderAndStringTableAccessors) {
+/// Offset of the argument-id count in an IOTB3 head: past nstrings and the
+/// length-prefixed strings.
+[[nodiscard]] std::size_t arg_table_offset(
+    const std::vector<std::uint8_t>& bytes) {
+  std::size_t pos = kContainerHeaderSize;
+  const std::uint32_t nstrings = get_u32(bytes, pos);
+  pos += 4;
+  for (std::uint32_t i = 0; i < nstrings; ++i) {
+    pos += 4 + get_u32(bytes, pos);
+  }
+  return pos;
+}
+
+/// Offset of the last stored record of an unprojected, uncompressed
+/// single-block container (the block ends where the footer begins).
+[[nodiscard]] std::size_t last_record_offset(
+    const std::vector<std::uint8_t>& bytes) {
+  const std::size_t footer_len = static_cast<std::size_t>(
+      get_u64(bytes, bytes.size() - v3layout::kTrailerSize));
+  return bytes.size() - v3layout::kTrailerSize - footer_len -
+         v2layout::kStride;
+}
+
+TEST(BlockView, HeaderAndStringTableAccessors) {
   const std::vector<std::uint8_t> bytes = encode_sample();
-  const BatchView view(bytes);
-  EXPECT_EQ(view.header().version, 2);
+  const BlockView view(bytes);
+  EXPECT_EQ(view.header().version, 3);
   EXPECT_TRUE(view.header().checksummed);
   EXPECT_FALSE(view.header().compressed);
   EXPECT_EQ(view.string(0), "");
@@ -132,239 +152,170 @@ TEST(BatchView, HeaderAndStringTableAccessors) {
   EXPECT_THROW((void)view.string(static_cast<StrId>(view.string_count())),
                FormatError);
   EXPECT_THROW((void)view.arg_id(view.arg_id_count()), FormatError);
-}
-
-TEST(BatchView, RejectsV1Containers) {
-  const std::vector<std::uint8_t> v1 = encode_binary(sample_stream(), {});
-  EXPECT_THROW((void)BatchView(v1), FormatError);
-  // ... while the decoding path still accepts them.
-  EXPECT_EQ(decode_binary_batch(v1).size(), sample_stream().size());
-}
-
-TEST(BatchView, RejectsCompressedAndEncryptedContainers) {
-  BinaryOptions compressed;
-  compressed.compress = true;
-  EXPECT_THROW((void)BatchView(encode_sample(compressed)), FormatError);
-
-  BinaryOptions encrypted;
-  encrypted.encrypt = true;
-  encrypted.key = CipherKey{0x1111, 0x2222, 0x3333, 0x4444};
-  const std::vector<std::uint8_t> bytes = encode_sample(encrypted);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  // The same payload decodes fine through the decrypting path.
-  EXPECT_EQ(decode_binary_batch(bytes, encrypted.key).size(),
-            sample_stream().size());
-}
-
-TEST(BatchView, RejectsFlippedCrcOnFirstTouch) {
-  std::vector<std::uint8_t> bytes = encode_sample();
-  bytes.back() ^= 0x01;  // CRC trails the payload
-  // The CRC is deferred: the container is structurally intact, so the view
-  // opens — but the first record (or string) touch verifies and rejects,
-  // and the failure is sticky.
-  const BatchView view(bytes);
-  EXPECT_THROW((void)view.record(0), FormatError);
-  EXPECT_THROW((void)view.string(0), FormatError);
-  EXPECT_THROW((void)view.record_bytes(), FormatError);
-}
-
-TEST(BatchView, RejectsFlippedPayloadByte) {
-  std::vector<std::uint8_t> bytes = encode_sample();
-  bytes[bytes.size() / 2] ^= 0x40;
-  // Depending on where the flip lands the open-time structural pass may
-  // already reject; if it does not, the deferred CRC must on first touch.
-  EXPECT_THROW(
-      {
-        const BatchView view(bytes);
-        (void)view.record(0);
-      },
-      FormatError);
-}
-
-TEST(BatchView, ChecksummedViewVerifiesOncePerCopySet) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  const BatchView view(bytes);
-  ASSERT_TRUE(view.header().checksummed);
-  // Copies share the CRC gate; a clean container's records read fine
-  // through either copy.
-  const BatchView copy = view;
-  EXPECT_EQ(copy.record(0).to_record(), view.record(0).to_record());
-  view.ensure_checksum();  // idempotent
-}
-
-TEST(BatchView, RejectsTruncatedBuffer) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{5}, std::size_t{22}, bytes.size() / 2,
-        bytes.size() - 1}) {
-    const std::vector<std::uint8_t> cut(bytes.begin(),
-                                        bytes.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)BatchView(cut), FormatError) << "keep=" << keep;
+  // Older versions are read by decoding, never viewed in place.
+  for (const testing::LegacyFixture& f : testing::legacy_fixtures()) {
+    if (f.version != 3) {
+      EXPECT_THROW((void)BlockView(testing::read_legacy(f)), FormatError)
+          << f.file;
+    }
   }
 }
 
-TEST(BatchView, RejectsTruncatedRecordSection) {
-  BinaryOptions plain;
-  plain.checksum = false;  // reach the structural checks, not the CRC
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Drop half a record's bytes off the end and fix up paylen so the
-  // envelope stays self-consistent: the record section is no longer
-  // count * stride.
-  const std::size_t cut = v2layout::kStride / 2;
-  bytes.resize(bytes.size() - cut);
-  put_u64(bytes, kPaylenOff, get_u64(bytes, kPaylenOff) - cut);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
+// --- hostile input: every rejection a reader must own, on IOTB3 ----------
+
+TEST(BlockViewHostile, RejectsEveryTruncation) {
+  const std::vector<std::uint8_t> bytes = encode_sample();
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<long>(keep));
+    EXPECT_THROW((void)BlockView(cut), FormatError) << "keep=" << keep;
+  }
 }
 
-TEST(BatchView, RejectsOversizedRecordSection) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Trailing garbage after the records, paylen patched to cover it.
-  bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
-  put_u64(bytes, kPaylenOff, get_u64(bytes, kPaylenOff) + 4);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOverstatedRecordCount) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  put_u64(bytes, kCountOff, get_u64(bytes, kCountOff) + 3);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-  // A wildly corrupt count must be rejected up front, not fed to reserve().
-  put_u64(bytes, kCountOff, ~0ULL);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOverflowingPayloadLength) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // A paylen chosen so header + paylen (+ crc) wraps around 2^64 to the
-  // true buffer size must not pass the envelope length check.
+TEST(BlockViewHostile, RejectsOverflowingPayloadLength) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  // A paylen chosen so header + paylen wraps around 2^64 to the true
+  // buffer size must not pass the envelope length check.
   put_u64(bytes, kPaylenOff,
           ~std::uint64_t{0} - kContainerHeaderSize + 1 +
               (bytes.size() - kContainerHeaderSize));
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, RejectsDuplicateStringTableEntries) {
-  // Hand-build a v2 body whose string table interns "dup" twice; the
-  // decoder rejects it ("not interned") and the view must too — records
-  // could otherwise reference the second copy and dodge id-equality scans.
-  std::vector<std::uint8_t> body;
-  const auto u32 = [&body](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  const auto u64 = [&body](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  u32(3);  // nstrings: "", "dup", "dup"
-  u32(0);
-  u32(3);
-  body.insert(body.end(), {'d', 'u', 'p'});
-  u32(3);
-  body.insert(body.end(), {'d', 'u', 'p'});
-  u64(0);  // nargids
-  // zero records
-
-  std::vector<std::uint8_t> bytes;
-  bytes.insert(bytes.end(), {'I', 'O', 'T', 'B', '2', '\n'});
-  bytes.push_back(0);  // flags: plain
-  bytes.resize(kContainerHeaderSize, 0);
-  put_u64(bytes, kCountOff, 0);
-  put_u64(bytes, kPaylenOff, body.size());
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+TEST(BlockViewHostile, RejectsOverstatedRecordCount) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  put_u64(bytes, kCountOff, get_u64(bytes, kCountOff) + 3);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  // A wildly corrupt count must be rejected up front, never sized from.
+  put_u64(bytes, kCountOff, ~0ULL);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, HugeStringTableCountIsFormatErrorNotBadAlloc) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // nstrings is the first u32 of the body; a wildly corrupt count must be
+TEST(BlockViewHostile, HugeStringTableCountIsFormatErrorNotBadAlloc) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  // nstrings is the first u32 of the head; a wildly corrupt count must be
   // rejected up front, never fed to reserve() as a giant allocation.
-  constexpr std::size_t kNstringsOff = kContainerHeaderSize;
   for (std::size_t i = 0; i < 4; ++i) {
-    bytes[kNstringsOff + i] = 0xff;
+    bytes[kContainerHeaderSize + i] = 0xff;
   }
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, RejectsOutOfRangeStringId) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Clobber the last record's name id (offset 1 within the record) with an
-  // id far beyond the string table.
-  const std::size_t name_off =
-      bytes.size() - v2layout::kStride + v2layout::kName;
+TEST(BlockViewHostile, RejectsDuplicateStringTableEntries) {
+  // Rewrite "host14.lanl.gov" into a second "host13.lanl.gov" (same
+  // length, so every offset holds): records could otherwise reference the
+  // second copy and dodge id-equality scans.
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  const std::string_view from = "host14.lanl.gov";
+  const std::string_view to = "host13.lanl.gov";
+  const auto it = std::search(bytes.begin(), bytes.end(), from.begin(),
+                              from.end());
+  ASSERT_NE(it, bytes.end());
+  std::copy(to.begin(), to.end(), it);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
+}
+
+TEST(BlockViewHostile, RejectsOutOfRangeStringId) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  // Clobber the last record's name id with an id far beyond the string
+  // table. The head and footer are intact, so the view opens; the block
+  // is rejected on first touch, before any record is served.
+  const std::size_t name_off = last_record_offset(bytes) + v2layout::kName;
   bytes[name_off] = 0xff;
   bytes[name_off + 1] = 0xff;
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+  const BlockView view(bytes);
+  EXPECT_THROW((void)view.block_bytes(0), FormatError);
+  EXPECT_THROW((void)view.record(0), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, RejectsOutOfRangeArgIdValue) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Walk to the argument-id table: nstrings, the length-prefixed strings,
-  // the u64 id count — then clobber the first id. The view must reject at
-  // open (its contract: reject anything the decoder rejects), not throw
-  // later from materialize()/the replay adapter mid-scan.
-  const auto u32_at = [&bytes](std::size_t off) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  std::size_t pos = kContainerHeaderSize;
-  const std::uint32_t nstrings = u32_at(pos);
-  pos += 4;
-  for (std::uint32_t i = 0; i < nstrings; ++i) {
-    pos += 4 + u32_at(pos);
-  }
+TEST(BlockViewHostile, RejectsOutOfRangeArgIdValue) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  // Clobber the first argument id: the view must reject at open, not throw
+  // later from materialize() mid-scan.
+  const std::size_t pos = arg_table_offset(bytes);
   ASSERT_GT(get_u64(bytes, pos), 0u);  // sample stream has args
-  pos += 8;
   for (std::size_t i = 0; i < 4; ++i) {
-    bytes[pos + i] = 0xff;
+    bytes[pos + 8 + i] = 0xff;
   }
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, RejectsArgSliceOverrun) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
+TEST(BlockViewHostile, RejectsArgSliceOverrun) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
   const std::size_t argc_off =
-      bytes.size() - v2layout::kStride + v2layout::kArgsCount;
+      last_record_offset(bytes) + v2layout::kArgsCount;
   bytes[argc_off] = 0xff;  // args_count far beyond the arg-id table
   bytes[argc_off + 1] = 0xff;
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
+  const BlockView view(bytes);
+  EXPECT_THROW((void)view.block_bytes(0), FormatError);
   EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
 }
 
-TEST(BatchView, EmptyBatchViews) {
-  const std::vector<std::uint8_t> bytes = encode_binary_v2(EventBatch{}, {});
-  const BatchView view(bytes);
-  EXPECT_EQ(view.size(), 0u);
-  EXPECT_TRUE(view.empty());
-  EXPECT_EQ(view.string_count(), 1u);  // the implicit empty string
+TEST(BlockViewHostile, RejectsUnknownFlagBits) {
+  std::vector<std::uint8_t> bytes = encode_plain_sample();
+  bytes[kFlagsOff] |= 0x80;
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  EXPECT_THROW((void)peek_binary_header(bytes), FormatError);
+}
+
+// --- the head CRC ---------------------------------------------------------
+
+TEST(BlockView, HeadCrcRejectsAFlippedStringByte) {
+  // 64 events; "SYS_write" lives in the head's string table, which no
+  // block CRC covers: one flipped bit would otherwise rename every write.
+  std::vector<TraceEvent> events;
+  for (int i = 0; i < 64; ++i) {
+    TraceEvent ev = make_syscall(i % 2 == 0 ? "SYS_write" : "SYS_read",
+                                 {"5", "4096"}, 4096);
+    ev.rank = i % 4;
+    ev.bytes = 4096;
+    ev.local_start = static_cast<SimTime>(i) * kMillisecond;
+    events.push_back(std::move(ev));
+  }
+  BinaryOptions options;
+  options.checksum = true;
+  std::vector<std::uint8_t> bytes = encode_binary_v3(events, options, 16);
+  const std::string_view name = "SYS_write";
+  const auto it = std::search(bytes.begin(), bytes.end(), name.begin(),
+                              name.end());
+  ASSERT_NE(it, bytes.end());
+  *(it + 4) ^= 0x01;  // SYS_write -> SYS_vrite
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
+}
+
+TEST(BlockView, HeadCrcCoversTheEnvelopeHeader) {
+  BinaryOptions options;
+  options.checksum = true;
+  const std::vector<std::uint8_t> healthy = encode_sample(options);
+  ASSERT_TRUE(peek_binary_header(healthy).head_crc);
+  // Dropping the checksummed bit would silently disable every block CRC.
+  std::vector<std::uint8_t> bytes = healthy;
+  bytes[kFlagsOff] &= static_cast<std::uint8_t>(~0x04u);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  // Dropping the head-CRC bit shifts the block region by the CRC's four
+  // bytes, which the footer's offsets no longer add up to.
+  bytes = healthy;
+  bytes[kFlagsOff] &= static_cast<std::uint8_t>(~0x20u);
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+  // The head CRC itself: after the arg-id table and block_records.
+  bytes = healthy;
+  const std::size_t args_at = arg_table_offset(bytes);
+  const std::size_t crc_at = args_at + 8 + 4 * get_u64(bytes, args_at) + 4;
+  bytes[crc_at] ^= 0x10;
+  EXPECT_THROW((void)BlockView(bytes), FormatError);
+}
+
+TEST(BlockView, UnchecksummedContainersCarryNoHeadCrc) {
+  const std::vector<std::uint8_t> bytes = encode_plain_sample();
+  EXPECT_FALSE(peek_binary_header(bytes).head_crc);
+  EXPECT_EQ(BlockView(bytes).to_batch().to_events(), sample_stream());
 }
 
 class MappedFileTest : public ::testing::Test {
@@ -396,7 +347,7 @@ TEST_F(MappedFileTest, MapsAndViewsRoundTrip) {
   ASSERT_EQ(file.size(), bytes.size());
   EXPECT_EQ(std::memcmp(file.bytes().data(), bytes.data(), bytes.size()), 0);
 
-  const BatchView view(file.bytes());
+  const BlockView view(file.bytes());
   EXPECT_EQ(view.size(), sample_stream().size());
 
   // Views must survive moves of the backing file object.
@@ -451,7 +402,7 @@ struct V3Regions {
   };
   // Container flag bits (binary_format.cpp): 0x02 encrypted (head grows a
   // key-check u64), 0x08 projected (each footer entry grows cold_len u64 +
-  // cold_crc u32).
+  // cold_crc u32), 0x20 head CRC (head grows a u32).
   const std::uint8_t flags = bytes[kFlagsOff];
   std::size_t pos = kContainerHeaderSize;
   const std::uint32_t nstrings = u32_at(pos);
@@ -464,6 +415,9 @@ struct V3Regions {
   pos += 4;  // block_records
   if ((flags & 0x02) != 0) {
     pos += 8;  // key_check
+  }
+  if ((flags & 0x20) != 0) {
+    pos += 4;  // head_crc
   }
   V3Regions r;
   r.head_end = pos;
@@ -1012,35 +966,6 @@ using trace::TraceEvent;
                     store.hottest_files(8)};
 }
 
-TEST(StoreZeroCopy, ViewBackedSourceMatchesOwnedIngest) {
-  const std::vector<TraceEvent> events = era_events(0, 60);
-  const EventBatch batch = EventBatch::from_events(events);
-  const std::vector<std::uint8_t> bytes = trace::encode_binary_v2(batch, {});
-  const std::string path = "/tmp/iotaxo_store_view_test.iotb";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-  }
-
-  UnifiedTraceStore owned;
-  owned.ingest(batch, {{"framework", "test"}, {"application", "a"}});
-  UnifiedTraceStore viewed;
-  viewed.ingest_view(path, {{"framework", "test"}, {"application", "a"}});
-  std::remove(path.c_str());
-
-  ASSERT_EQ(viewed.sources().size(), 1u);
-  EXPECT_TRUE(viewed.sources()[0].view_backed);
-  EXPECT_FALSE(owned.sources()[0].view_backed);
-  EXPECT_EQ(viewed.total_events(), owned.total_events());
-  EXPECT_EQ(all_queries(viewed), all_queries(owned));
-  EXPECT_EQ(viewed.rank_timeline(1), owned.rank_timeline(1));
-  // The view-backed source has no owned batch to hand out.
-  EXPECT_THROW((void)viewed.source_batch(0), ConfigError);
-  EXPECT_EQ(owned.source_batch(0).size(), events.size());
-}
-
 TEST(StoreZeroCopy, IndexSkipsKeepResultsIdentical) {
   UnifiedTraceStore store;
   for (int era = 0; era < 6; ++era) {
@@ -1096,10 +1021,10 @@ TEST(StoreZeroCopy, CompactMergesOwnedPoolsAndPreservesResults) {
   EXPECT_THROW((void)store.source_batch(0), ConfigError);
 }
 
-TEST(StoreZeroCopy, CompactLeavesViewPoolsAlone) {
+TEST(StoreZeroCopy, CompactLeavesBlockPoolsAlone) {
   const EventBatch batch = EventBatch::from_events(era_events(1, 30));
-  const std::vector<std::uint8_t> bytes = trace::encode_binary_v2(batch, {});
-  const std::string path = "/tmp/iotaxo_store_compact_view_test.iotb";
+  const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(batch, {});
+  const std::string path = "/tmp/iotaxo_store_compact_view_test.iotb3";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -1116,10 +1041,10 @@ TEST(StoreZeroCopy, CompactLeavesViewPoolsAlone) {
   std::remove(path.c_str());
 
   const auto before = all_queries(store);
-  // The view pool splits the owned run, so nothing can merge across it.
+  // The block pool splits the owned run, so nothing can merge across it.
   EXPECT_EQ(store.compact(1u << 30), 3u);
   EXPECT_EQ(all_queries(store), before);
-  // The view source still refuses to hand out an owned batch.
+  // The block-backed source still refuses to hand out an owned batch.
   EXPECT_THROW((void)store.source_batch(1), ConfigError);
 }
 
@@ -1159,7 +1084,7 @@ TEST(StoreZeroCopy, BlockBackedSourceMatchesOwnedIngest) {
   std::remove(path.c_str());
 
   ASSERT_EQ(blocked.sources().size(), 1u);
-  EXPECT_TRUE(blocked.sources()[0].view_backed);
+  EXPECT_TRUE(blocked.sources()[0].block_backed);
   ASSERT_EQ(blocked.pool_infos().size(), 1u);
   EXPECT_TRUE(blocked.pool_infos()[0].block_backed);
   EXPECT_EQ(blocked.pool_infos()[0].blocks, 8u);  // 120 records / 16
@@ -1220,7 +1145,7 @@ TEST(StoreZeroCopy, ColdCompactSpillsErasAndPreservesResults) {
   EXPECT_TRUE(store.pool_infos()[0].block_backed);
   EXPECT_EQ(store.pool_infos()[0].blocks, 15u);  // 240 records / 16
   for (const auto& source : store.sources()) {
-    EXPECT_TRUE(source.view_backed);
+    EXPECT_TRUE(source.block_backed);
   }
   EXPECT_THROW((void)store.source_batch(0), ConfigError);
 
@@ -1421,6 +1346,80 @@ TEST(StoreZeroCopy, ParallelColdScanIsDeterministicAcrossThreadCounts) {
         << "threads=" << threads;
   }
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------ legacy import
+
+[[nodiscard]] auto five_queries(const UnifiedTraceStore& store) {
+  return std::tuple{store.call_stats(), store.rank_timeline(1),
+                    store.bytes_in_window(1'030'000, 1'080'000),
+                    store.io_rate_series(10'000), store.hottest_files(8)};
+}
+
+[[nodiscard]] std::optional<CipherKey> key_for(
+    const testing::LegacyFixture& f) {
+  return f.encrypted ? std::optional<CipherKey>(testing::legacy_key())
+                     : std::nullopt;
+}
+
+// Every committed legacy container — IOTB1, IOTB2 in each flag
+// combination, IOTB3 without a head CRC — answers the five queries and
+// mines the same DFG as an owned ingest of its events, whether decoded by
+// hand or filed with ingest_view (which imports v1/v2 into an owned pool).
+TEST(LegacyImport, EveryFixtureFilesLikeAnOwnedIngest) {
+  const std::vector<TraceEvent> events = testing::legacy_events();
+  UnifiedTraceStore owned;
+  owned.ingest(EventBatch::from_events(events), {{"framework", "test"}});
+  const auto want = five_queries(owned);
+  const dfg::Dfg want_dfg = dfg::DfgBuilder(owned).build();
+  for (const testing::LegacyFixture& f : testing::legacy_fixtures()) {
+    SCOPED_TRACE(f.file);
+    const std::vector<std::uint8_t> bytes = testing::read_legacy(f);
+    UnifiedTraceStore decoded;
+    decoded.ingest(trace::decode_binary_batch(bytes, key_for(f)),
+                   {{"framework", "test"}});
+    EXPECT_EQ(five_queries(decoded), want);
+    EXPECT_EQ(dfg::DfgBuilder(decoded).build(), want_dfg);
+
+    UnifiedTraceStore filed;
+    filed.ingest_view(testing::legacy_dir() + "/" + f.file,
+                      {{"framework", "test"}}, key_for(f));
+    ASSERT_EQ(filed.pool_count(), 1u);
+    EXPECT_EQ(filed.pool_infos()[0].block_backed, f.version == 3);
+    EXPECT_EQ(filed.sources()[0].block_backed, f.version == 3);
+    if (f.version != 3) {
+      EXPECT_EQ(filed.source_batch(0).to_events(), events);
+    }
+    EXPECT_EQ(five_queries(filed), want);
+    EXPECT_EQ(dfg::DfgBuilder(filed).build(), want_dfg);
+  }
+}
+
+TEST(LegacyImport, EncryptedFixtureNeedsItsKey) {
+  UnifiedTraceStore store;
+  EXPECT_THROW(store.ingest_view(testing::legacy_dir() + "/v2_encrypted.iotb2",
+                                 {{"framework", "test"}}),
+               FormatError);
+  EXPECT_EQ(store.pool_count(), 0u);
+}
+
+TEST(LegacyImport, AttachDirOverFixturesMatchesOwned) {
+  UnifiedTraceStore attached;
+  AttachOptions options;
+  options.key = testing::legacy_key();
+  options.metadata = {{"framework", "test"}};
+  const StoreHealth health = attached.attach_dir(testing::legacy_dir(), options);
+  EXPECT_TRUE(health.healthy());
+  EXPECT_EQ(health.recovered_eras, testing::legacy_fixtures().size());
+
+  UnifiedTraceStore owned;
+  for (std::size_t i = 0; i < testing::legacy_fixtures().size(); ++i) {
+    owned.ingest(EventBatch::from_events(testing::legacy_events()),
+                 {{"framework", "test"}});
+  }
+  EXPECT_EQ(attached.total_events(), owned.total_events());
+  EXPECT_EQ(five_queries(attached), five_queries(owned));
+  EXPECT_EQ(dfg::DfgBuilder(attached).build(), dfg::DfgBuilder(owned).build());
 }
 
 }  // namespace

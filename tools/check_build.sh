@@ -28,8 +28,8 @@
 #                                               # 1000 small CLI flushes and
 #                                               # assert the era batcher kept
 #                                               # the pool count bounded and
-#                                               # the restart adopted the
-#                                               # persisted indexes
+#                                               # the restart decoded no
+#                                               # block
 #
 # Bench gating convention: a bench that wants a regression gate emits a pair
 # of JSON keys, "<metric>" and "<metric>_floor". The floors live in the JSON
@@ -234,15 +234,14 @@ case "${MODE}" in
     BUILD_DIR="${1:-${REPO_ROOT}/build}"
     cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
     cmake --build "${BUILD_DIR}" -j
-    # The streaming-ingest suite: footer round-trips and corruption
-    # fallbacks, era-ingest vs one-pool-per-flush identity, live-DFG vs
-    # cold-rebuild identity.
+    # The streaming-ingest suite: footer-indexed restart, era-ingest vs
+    # one-pool-per-flush identity, live-DFG vs cold-rebuild identity.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
       -R 'stream_ingest_test'
     # End-to-end smoke: a 1000-flush storm of small flushes must land in a
     # bounded number of era pools (the whole point of the open batch), and
-    # a restart on the written era containers must adopt their persisted
-    # indexes instead of rescanning records.
+    # a restart on the written IOTB3 era containers must build every pool
+    # index from their footers, decoding no record block.
     STREAM_TMP="$(mktemp -d)"
     trap 'rm -rf "${STREAM_TMP}"' EXIT
     "${BUILD_DIR}/iotaxo_cli" stream --dir "${STREAM_TMP}" \
@@ -254,14 +253,22 @@ case "${MODE}" in
       exit 1
     fi
     "${BUILD_DIR}/iotaxo_cli" stream --dir "${STREAM_TMP}" --attach \
+      --metrics-out "${STREAM_TMP}/attach_metrics.json" \
       > "${STREAM_TMP}/attach.out"
-    ADOPTED="$(sed -nE 's/^indexes adopted +: ([0-9]+).*/\1/p' "${STREAM_TMP}/attach.out")"
-    if [[ -z "${ADOPTED}" || "${ADOPTED}" -eq 0 ]]; then
-      echo "STREAM FAIL: restart adopted ${ADOPTED:-?} persisted indexes (want > 0)"
+    ATTACHED="$(sed -nE 's/^attached +: ([0-9]+) container.*/\1/p' "${STREAM_TMP}/attach.out")"
+    if [[ -z "${ATTACHED}" || "${ATTACHED}" -eq 0 ]]; then
+      echo "STREAM FAIL: restart attached ${ATTACHED:-?} era containers (want > 0)"
       cat "${STREAM_TMP}/attach.out"
       exit 1
     fi
-    echo "stream ok: 1000 flushes -> ${POOLS} pool(s); restart adopted ${ADOPTED} index(es)"
+    for key in block.decode.full_blocks block.decode.hot_blocks; do
+      if ! grep -q "\"${key}\": 0" "${STREAM_TMP}/attach_metrics.json"; then
+        echo "STREAM FAIL: restart decoded blocks ('${key}' is not 0)"
+        cat "${STREAM_TMP}/attach.out"
+        exit 1
+      fi
+    done
+    echo "stream ok: 1000 flushes -> ${POOLS} pool(s); restart attached ${ATTACHED} era(s), decoded 0 blocks"
     ;;
   bench)
     BUILD_DIR="${1:-${REPO_ROOT}/build}"

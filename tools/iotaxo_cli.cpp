@@ -20,15 +20,14 @@
 // Bundles are the on-disk trace format (one text trace per rank plus TSV
 // sidecars) produced by `trace --out` and consumed by replay/analyze/
 // anonymize — the full LANL trace-distribution workflow from one binary.
-// `trace --binary-out` additionally writes the run as one IOTB container
-// (IOTB2, or block-structured compressed+checksummed IOTB3 when the file
-// name ends in .iotb3), which `stat` inspects through the zero-copy
-// readers (mmap + BatchView for IOTB2, mmap + BlockView for IOTB3 — no
-// decode even for compressed v3, whose blocks decompress lazily;
-// v1/v2-compressed/encrypted containers fall back to decode-then-tally
-// with the refusal reason printed) and `dfg` mines into per-rank
-// directly-follows graphs (phases, rank divergence, DOT/JSON export).
-// `--blocks` prints the IOTB3 footer's per-block mini-index.
+// `trace --binary-out` additionally writes the run as one IOTB3 container
+// (checksummed; compressed too when the file name ends in .iotb3), which
+// `stat` inspects through the zero-copy reader (mmap + BlockView — no
+// decode even for compressed containers, whose blocks decompress lazily;
+// older IOTB1/IOTB2 files are imported by decoding them) and `dfg` mines
+// into per-rank directly-follows graphs (phases, rank divergence,
+// DOT/JSON export). `--blocks` prints the IOTB3 footer's per-block
+// mini-index.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -239,39 +238,36 @@ int cmd_trace(const Args& args) {
         batch.append(ev);
       }
     }
-    // The .iotb3 extension selects the block-structured container with
-    // cold-storage defaults (per-block LZ + CRC); --key additionally
-    // encrypts each block and --project splits records into hot + cold
-    // column groups. Anything else writes the flat IOTB2 layout.
-    const bool v3 = binary_out.size() >= 6 &&
-                    binary_out.compare(binary_out.size() - 6, 6, ".iotb3") == 0;
-    std::vector<std::uint8_t> bytes;
-    if (v3) {
-      trace::BinaryOptions options;
-      options.compress = true;
-      options.checksum = true;
-      options.project = !args.get("project").empty();
-      const std::string passphrase = args.get("key");
-      if (!passphrase.empty()) {
-        options.encrypt = true;
-        options.key = derive_key(passphrase);
-      }
-      // --block-records caps records per block (default 4096): smaller
-      // blocks mean finer mini-indexes (more skippable) at more per-block
-      // overhead.
-      bytes = trace::encode_binary_v3(
-          batch, options,
-          static_cast<std::size_t>(args.get_int("block-records", 4096)));
-    } else {
-      bytes = trace::encode_binary_v2(batch, trace::BinaryOptions{});
+    // Always IOTB3 with per-block CRCs. The .iotb3 extension selects the
+    // cold-storage defaults (per-block LZ too); --key additionally encrypts
+    // each block and --project splits records into hot + cold column
+    // groups. Any other name keeps the blocks uncompressed, so they are
+    // served straight from the mapping.
+    const bool cold =
+        binary_out.size() >= 6 &&
+        binary_out.compare(binary_out.size() - 6, 6, ".iotb3") == 0;
+    trace::BinaryOptions options;
+    options.compress = cold;
+    options.checksum = true;
+    options.project = !args.get("project").empty();
+    const std::string passphrase = args.get("key");
+    if (!passphrase.empty()) {
+      options.encrypt = true;
+      options.key = derive_key(passphrase);
     }
+    // --block-records caps records per block (default 4096): smaller
+    // blocks mean finer mini-indexes (more skippable) at more per-block
+    // overhead.
+    const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
+        batch, options,
+        static_cast<std::size_t>(args.get_int("block-records", 4096)));
     // Durable write (tmp + fsync + rename): a crash mid-write never
     // leaves a half-container at the target path.
     trace::write_binary_file(binary_out, bytes);
-    std::printf("binary trace     : %s (%s, %s)\n", binary_out.c_str(),
+    std::printf("binary trace     : %s (%s, IOTB3 block-structured, %s)\n",
+                binary_out.c_str(),
                 format_bytes(static_cast<Bytes>(bytes.size())).c_str(),
-                v3 ? "IOTB3 block-structured, lazy zero-decode view"
-                   : "viewable zero-copy");
+                cold ? "lazy zero-decode view" : "viewable zero-copy");
   }
   return 0;
 }
@@ -348,12 +344,9 @@ void print_block_summary(const trace::BlockView& view) {
 }
 
 // The store's per-pool shape, including streaming-ingest state: whether a
-// pool is the growing open era or sealed, how many flushes it absorbed,
-// and whether a view-backed pool adopted a persisted index footer instead
-// of scanning its records.
+// pool is the growing open era or sealed, and how many flushes it absorbed.
 void print_pool_table(const analysis::UnifiedTraceStore& store) {
-  TextTable table(
-      {"Pool", "Sources", "Records", "Kind", "State", "Flushes", "Index"});
+  TextTable table({"Pool", "Sources", "Records", "Kind", "State", "Flushes"});
   for (std::size_t c = 1; c < 3; ++c) {
     table.set_align(c, Align::kRight);
   }
@@ -363,12 +356,9 @@ void print_pool_table(const analysis::UnifiedTraceStore& store) {
     const analysis::StorePoolInfo& info = infos[p];
     table.add_row({strprintf("%zu", p), strprintf("%zu", info.source_count),
                    strprintf("%lld", info.records),
-                   info.block_backed ? "block"
-                   : info.view_backed ? "view"
-                                      : "owned",
+                   info.block_backed ? "block" : "owned",
                    info.open_era ? "open era" : "sealed",
-                   strprintf("%zu", info.flushes_absorbed),
-                   info.persisted_index ? "adopted" : "scanned"});
+                   strprintf("%zu", info.flushes_absorbed)});
   }
   std::fputs(table.render().c_str(), stdout);
 }
@@ -415,14 +405,51 @@ void stat_window_probe(const analysis::UnifiedTraceStore& store) {
                   metric("store.query.segments_skipped")));
 }
 
-// `stat` prints a container's shape through the zero-copy readers: the
-// file is mmapped and filed zero-copy with a unified store, whose
-// call_stats() tallies straight off the stored records — no EventBatch is
-// ever built. IOTB3 (including compressed) goes through the lazy
-// BlockView. Containers the views refuse (v1 bodies, v2 compressed or
-// encrypted payloads) are reported with the reader's reason and decoded
-// into a batch that is filed instead, so `stat` works — with one decode —
-// on anything decode_binary_batch accepts (`--key` for encrypted files).
+// The shape of a filed container, from its pool's accessor: an IOTB3
+// container's head and footer (no record block is decoded to print this),
+// or an imported IOTB1/IOTB2 file's decoded batch with the header it was
+// read from.
+void print_container(const analysis::BlockAccess& acc, bool blocks) {
+  const trace::BlockView& view = *acc.v;
+  const trace::BinaryHeader& h = view.header();
+  std::printf("container        : IOTB3%s%s%s%s, block-structured\n",
+              h.compressed ? ", compressed" : "",
+              view.encrypted() ? ", encrypted (per block)" : "",
+              view.projected() ? ", projected (hot+cold columns)" : "",
+              !h.checksummed ? ""
+              : h.head_crc   ? ", checksummed (head at open, blocks on touch)"
+                             : ", checksummed (blocks on touch, head "
+                               "unprotected)");
+  std::printf("records          : %zu in %zu block(s) of up to %u\n",
+              view.size(), view.block_count(), view.block_records_nominal());
+  std::printf("string table     : %zu distinct strings, %s\n",
+              view.string_count(),
+              format_bytes(static_cast<Bytes>(view.string_table_bytes()))
+                  .c_str());
+  std::printf("argument ids     : %zu\n", view.arg_id_count());
+  if (blocks) {
+    print_block_summary(view);
+  }
+}
+
+void print_container(const analysis::BatchAccess& acc,
+                     const trace::BinaryHeader& h) {
+  std::printf("container        : IOTB%d%s%s%s, imported (decoded into an "
+              "owned pool)\n",
+              h.version, h.compressed ? ", compressed" : "",
+              h.encrypted ? ", encrypted" : "",
+              h.checksummed ? ", checksummed (CRC ok)" : "");
+  std::printf("records          : %zu\n", acc.size());
+  std::printf("string table     : %zu distinct strings\n", acc.string_count());
+  std::printf("argument ids     : %zu\n", acc.b->arg_ids().size());
+}
+
+// `stat` prints a container's shape and per-call table. The file is
+// mmapped and filed with a unified store in one ingest_view call: IOTB3
+// (including compressed and encrypted, with `--key`) is served in place
+// through the lazy BlockView and call_stats() tallies straight off the
+// stored records, no EventBatch is ever built; IOTB1/IOTB2 files are
+// imported by decoding them. A directory is attached as a store instead.
 int cmd_stat(const Args& args) {
   if (args.positional.empty()) {
     return usage();
@@ -430,8 +457,7 @@ int cmd_stat(const Args& args) {
   const std::string& path = args.positional.front();
   if (std::filesystem::is_directory(path)) {
     // A store directory: attach (with crash recovery) and print the pool
-    // table — the streaming-ingest view of the store, including which
-    // attached containers brought a persisted index footer along.
+    // table — the streaming-ingest view of the store.
     analysis::UnifiedTraceStore store;
     analysis::AttachOptions options;
     options.key = key_from_args(args);
@@ -439,162 +465,48 @@ int cmd_stat(const Args& args) {
     std::printf("directory        : %s\n", path.c_str());
     std::printf("attached         : %zu container(s), %zu quarantined\n",
                 health.recovered_eras, health.quarantined.size());
-    std::size_t adopted = 0;
-    for (const analysis::StorePoolInfo& info : store.pool_infos()) {
-      adopted += info.persisted_index ? 1 : 0;
-    }
-    std::printf("indexes adopted  : %zu of %zu pool(s)\n", adopted,
-                store.pool_count());
     print_pool_table(store);
     return health.healthy() ? 0 : 1;
   }
   trace::MappedTraceFile file(path);
-  const std::map<std::string, std::string> metadata = {
-      {"framework", "iotb"}, {"application", path}};
-
+  const trace::BinaryHeader header = trace::peek_binary_header(file.bytes());
   std::printf("file             : %s (%s, %s)\n", path.c_str(),
               format_bytes(static_cast<Bytes>(file.size())).c_str(),
               file.is_mapped() ? "mmapped" : "read");
   analysis::UnifiedTraceStore store;
-  try {
-    if (trace::peek_binary_header(file.bytes()).version == 3) {
-      // Block containers tally through the lazy view: even a compressed
-      // IOTB3 is never decoded into a batch — blocks stream through the
-      // per-block cache, and the summary lines above the table come from
-      // the head and footer alone.
-      trace::BlockView view(file.bytes(), key_from_args(args));
-      std::printf("container        : IOTB3%s%s%s%s, block-structured\n",
-                  view.header().compressed ? ", compressed" : "",
-                  view.encrypted() ? ", encrypted (per block)" : "",
-                  view.projected() ? ", projected (hot+cold columns)" : "",
-                  view.header().checksummed
-                      ? ", checksummed (per block, on touch)"
-                      : "");
-      std::printf("records          : %zu in %zu block(s) of up to %u\n",
-                  view.size(), view.block_count(),
-                  view.block_records_nominal());
-      std::printf("string table     : %zu distinct strings, %s\n",
-                  view.string_count(),
-                  format_bytes(
-                      static_cast<Bytes>(view.string_table_bytes())).c_str());
-      std::printf("argument ids     : %zu\n", view.arg_id_count());
-      if (!args.get("blocks").empty()) {
-        print_block_summary(view);
-      }
-      // The filed view shares the lazy decode cache with the probe above,
-      // so no block is decoded twice and the decode metrics cross-check
-      // pool_infos() exactly.
-      store.ingest_view(std::move(file), std::move(view), metadata);
+  store.ingest_view(std::move(file),
+                    {{"framework", "iotb"}, {"application", path}},
+                    key_from_args(args));
+  store.with_pool_access(0, [&](const auto& acc) {
+    if constexpr (requires { acc.v; }) {
+      print_container(acc, !args.get("blocks").empty());
     } else {
-      trace::BatchView view(file.bytes());
-      std::printf("container        : IOTB2%s, zero-copy\n",
-                  view.header().checksummed ? ", checksummed (CRC on scan)"
-                                            : "");
-      if (view.header().indexed) {
-        if (view.persisted_index().has_value()) {
-          const trace::PoolIndexFooter& footer = *view.persisted_index();
-          std::printf("index footer     : present (footer CRC ok, %llu "
-                      "record(s), span %s)\n",
-                      static_cast<unsigned long long>(footer.records),
-                      footer.any
-                          ? format_duration(footer.max_time - footer.min_time)
-                                .c_str()
-                          : "empty");
-        } else {
-          std::printf("index footer     : INVALID (%s) — readers fall back "
-                      "to a record scan\n",
-                      view.footer_error().c_str());
-        }
-      }
-      std::printf("records          : %zu\n", view.size());
-      std::printf("string table     : %zu distinct strings, %s\n",
-                  view.string_count(),
-                  format_bytes(
-                      static_cast<Bytes>(view.string_table_bytes())).c_str());
-      std::printf("argument ids     : %zu\n", view.arg_id_count());
-      store.ingest_view(std::move(file), std::move(view), metadata);
+      print_container(acc, header);  // imported: the pool has no header
     }
-    print_call_stats(store);
-    if (obs::enabled()) {
-      stat_window_probe(store);
-    }
-    return 0;
-  } catch (const FormatError& err) {
-    // Not view-able (or a damaged record block) — say why, with the
-    // zero-copy reader's own diagnostic, then tally through the decoder.
-    // Containers that are corrupt rather than merely transformed will
-    // throw again below, which is the error path (exit 1).
-    std::printf("zero-copy        : refused (%s)\n", err.what());
+  });
+  print_call_stats(store);
+  if (obs::enabled()) {
+    stat_window_probe(store);
   }
-  // `file` may already be filed with a store above: decode from a fresh
-  // mapping.
-  const trace::MappedTraceFile source(path);
-  const trace::BinaryHeader header = trace::peek_binary_header(source.bytes());
-  if (header.version == 3 && header.encrypted &&
-      !key_from_args(args).has_value()) {
-    std::printf("                   (encrypted IOTB3: pass --key "
-                "PASSPHRASE to open it)\n");
-  }
-  std::printf("                   decoding instead\n");
-  const trace::EventBatch batch =
-      trace::decode_binary_batch(source.bytes(), key_from_args(args));
-  std::printf("container        : IOTB%d%s%s%s, decoded\n", header.version,
-              header.compressed ? ", compressed" : "",
-              header.encrypted ? ", encrypted" : "",
-              header.checksummed ? ", checksummed (CRC ok)" : "");
-  std::printf("records          : %zu\n", batch.size());
-  std::printf("string table     : %zu distinct strings\n",
-              batch.pool().size());
-  std::printf("argument ids     : %zu\n", batch.arg_ids().size());
-  analysis::UnifiedTraceStore decoded;
-  decoded.ingest(batch, metadata);
-  print_call_stats(decoded);
   return 0;
 }
 
-/// File an IOTB container with the store: zero-copy when the view accepts
-/// it, decode-then-ingest otherwise (with the reader's refusal reason
-/// printed, mirroring `stat`).
+/// File a container with the store (one ingest_view call: IOTB3 served in
+/// place, IOTB1/IOTB2 imported), then print an IOTB3 container's block
+/// summary when --blocks asks for it.
 void ingest_container(analysis::UnifiedTraceStore& store,
                       const std::string& path, const Args& args) {
-  const std::map<std::string, std::string> metadata = {
-      {"framework", "iotb"}, {"application", path}};
-  // Map and validate exactly once: on success the probed view itself is
-  // filed (the pair overload re-checks nothing), on refusal the decode
-  // fallback reuses the same mapping. IOTB3 goes through the block view —
-  // compressed v3 containers stay undecoded, their blocks stream lazily
-  // into the miner.
-  trace::MappedTraceFile file(path);
-  std::optional<trace::BatchView> probe;
-  std::optional<trace::BlockView> block_probe;
-  try {
-    if (trace::peek_binary_header(file.bytes()).version == 3) {
-      block_probe.emplace(file.bytes(), key_from_args(args));
-      if (!args.get("blocks").empty()) {
-        std::printf("blocks, %s:\n", path.c_str());
-        print_block_summary(*block_probe);
-      }
-    } else {
-      probe.emplace(file.bytes());
+  store.ingest_view(path, {{"framework", "iotb"}, {"application", path}},
+                    key_from_args(args));
+  if (args.get("blocks").empty()) {
+    return;
+  }
+  store.with_pool_access(store.pool_count() - 1, [&](const auto& acc) {
+    if constexpr (requires { acc.v; }) {
+      std::printf("blocks, %s:\n", path.c_str());
+      print_block_summary(*acc.v);
     }
-  } catch (const FormatError& err) {
-    const trace::BinaryHeader h = trace::peek_binary_header(file.bytes());
-    std::fprintf(stderr,
-                 "iotaxo: %s: zero-copy refused (%s); decoding instead%s\n",
-                 path.c_str(), err.what(),
-                 h.version == 3 && h.encrypted &&
-                         !key_from_args(args).has_value()
-                     ? " (encrypted IOTB3: pass --key PASSPHRASE to open it)"
-                     : "");
-    store.ingest(trace::decode_binary_batch(file.bytes(), key_from_args(args)),
-                 metadata);
-    return;
-  }
-  if (block_probe.has_value()) {
-    store.ingest_view(std::move(file), std::move(*block_probe), metadata);
-    return;
-  }
-  store.ingest_view(std::move(file), std::move(*probe), metadata);
+  });
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
@@ -633,14 +545,14 @@ int cmd_dfg(const Args& args) {
 
   // Store shape through the introspection accessor: what fed the miner.
   Bytes pool_bytes = 0;
-  long long view_pools = 0;
+  long long block_pools = 0;
   for (const analysis::StorePoolInfo& info : store.pool_infos()) {
     pool_bytes += static_cast<Bytes>(info.approx_bytes);
-    view_pools += info.view_backed ? 1 : 0;
+    block_pools += info.block_backed ? 1 : 0;
   }
   std::printf("store            : %zu pool(s) (%lld zero-copy), %s, %lld "
               "events\n",
-              store.pool_count(), view_pools,
+              store.pool_count(), block_pools,
               format_bytes(pool_bytes).c_str(), store.total_events());
   std::printf("mined            : %zu rank graph(s), %lld kept events, %zu "
               "distinct calls\n",
@@ -909,23 +821,8 @@ int cmd_anonymize(const Args& args) {
     }
     return problems;
   }
-  if (header.version == 2 && !header.compressed && !header.encrypted) {
-    try {
-      const trace::BatchView view(file.bytes());
-      (void)view.record_bytes();  // forces the deferred whole-body CRC
-      // An indexed container whose footer failed its own CRC/shape check
-      // still opens (readers degrade to a record scan), but fsck's job is
-      // to surface the damage.
-      if (view.header().indexed && !view.persisted_index().has_value()) {
-        problems.push_back("index footer: " + view.footer_error());
-      }
-    } catch (const Error& err) {
-      problems.emplace_back(err.what());
-    }
-    return problems;
-  }
-  // v1 and transformed v2 have no zero-copy validator; a full decode
-  // exercises every checksum and length field they carry.
+  // v1/v2 have no zero-copy validator; a full decode exercises every
+  // checksum and length field they carry.
   try {
     (void)trace::decode_binary_batch(file.bytes(), key);
   } catch (const Error& err) {
@@ -1113,10 +1010,10 @@ int cmd_fsck(const Args& args) {
 // --flushes small flushes (--events each) and feeds them through a
 // streaming store — the pool table printed at the end shows the open era
 // and how few pools the flush storm produced — while mirroring the same
-// records into era-sized IOTB2 containers written to --dir with checksums
-// and persisted index footers. The --attach half is the restart: a fresh
-// store attaches the directory, and the "indexes adopted" line proves the
-// persisted footers were adopted instead of rescanned.
+// records into era-sized checksummed IOTB3 containers written to --dir.
+// The --attach half is the restart: a fresh store attaches the directory,
+// building every pool index from the container footers, and the "blocks
+// decoded" line shows that no record block was touched to do it.
 int cmd_stream(const Args& args) {
   const std::string dir = args.get("dir");
   if (dir.empty()) {
@@ -1137,12 +1034,10 @@ int cmd_stream(const Args& args) {
     std::printf("attached         : %zu container(s), %zu quarantined\n",
                 health.recovered_eras, health.quarantined.size());
     std::printf("pools            : %zu\n", store.pool_count());
-    std::printf("indexes adopted  : %llu\n",
+    std::printf("blocks decoded   : %llu\n",
                 static_cast<unsigned long long>(
-                    metric("ingest.index_adopted")));
-    std::printf("indexes rebuilt  : %llu\n",
-                static_cast<unsigned long long>(
-                    metric("ingest.index_rebuilt")));
+                    metric("block.decode.full_blocks") +
+                    metric("block.decode.hot_blocks")));
     print_pool_table(store);
     return health.healthy() ? 0 : 1;
   }
@@ -1160,7 +1055,6 @@ int cmd_stream(const Args& args) {
 
   trace::BinaryOptions bopts;
   bopts.checksum = true;
-  bopts.index_footer = true;
   trace::EventBatch era_batch;
   std::size_t eras_written = 0;
   const auto write_era = [&] {
@@ -1168,8 +1062,8 @@ int cmd_stream(const Args& args) {
       return;
     }
     trace::write_binary_file(
-        strprintf("%s/era-%zu.iotb", dir.c_str(), eras_written),
-        trace::encode_binary_v2(era_batch, bopts));
+        strprintf("%s/era-%zu.iotb3", dir.c_str(), eras_written),
+        trace::encode_binary_v3(era_batch, bopts));
     era_batch.reset();
     ++eras_written;
   };
@@ -1204,7 +1098,7 @@ int cmd_stream(const Args& args) {
   std::printf("flushes          : %zu of %zu event(s)\n", flushes, events);
   std::printf("pools            : %zu (open era included)\n",
               store.pool_count());
-  std::printf("era files        : %zu written to %s (indexed, checksummed)\n",
+  std::printf("era files        : %zu written to %s (IOTB3, checksummed)\n",
               eras_written, dir.c_str());
   print_pool_table(store);
   return 0;
