@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <unordered_map>
 
 #include "analysis/store_manifest.h"
@@ -465,163 +464,30 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes,
   return pools_.size();
 }
 
-namespace {
-
-/// The era sequence number from "<prefix>-<n>.iotb3"-style names; nullopt
-/// when the stem has no trailing "-<digits>".
-[[nodiscard]] std::optional<std::uint64_t> parse_era_seq(
-    const std::string& name) {
-  const std::string stem = std::filesystem::path(name).stem().string();
-  const std::size_t dash = stem.rfind('-');
-  if (dash == std::string::npos || dash + 1 == stem.size()) {
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = dash + 1; i < stem.size(); ++i) {
-    if (stem[i] < '0' || stem[i] > '9') {
-      return std::nullopt;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(stem[i] - '0');
-  }
-  return v;
-}
-
-/// Recovery candidates are the container files (.iotb/.iotb2/.iotb3);
-/// anything else in the directory (logs, READMEs) is simply ignored.
-[[nodiscard]] bool is_container_name(const std::string& name) {
-  const std::string ext = std::filesystem::path(name).extension().string();
-  return ext.rfind(".iotb", 0) == 0;
-}
-
-}  // namespace
-
 StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
                                           const AttachOptions& options) {
-  namespace fs = std::filesystem;
   const obs::ScopedTimer attach_timer(metrics().attach_ns);
-  StoreHealth health;
-  std::error_code ec;
-  fs::directory_iterator dir_it(directory, ec);
-  if (ec) {
-    throw IoError("unified store: cannot read directory '" + directory +
-                  "'");
-  }
-
-  // Pass 1: sweep torn write leftovers and collect container candidates.
-  // A .tmp file is by construction uncommitted (the protocol renames it
-  // away before the manifest commit), so deleting it can never lose data.
-  std::vector<std::string> names;
-  for (const fs::directory_entry& entry : dir_it) {
-    if (!entry.is_regular_file(ec)) {
-      continue;
-    }
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      fs::remove(entry.path(), ec);
-      if (!ec) {
-        ++health.torn_tmps_removed;
-        IOTAXO_LOG(LogLevel::kInfo)
-            << "attach_dir: removed torn write leftover '" << name << "'";
-      }
-      continue;
-    }
-    if (name == kManifestFileName) {
-      continue;
-    }
-    if (is_container_name(name)) {
-      names.push_back(name);
-    }
-  }
-  // Attach order must not depend on directory iteration order: sort by
-  // era sequence (then name), the order the eras were committed in.
-  std::sort(names.begin(), names.end(),
-            [](const std::string& a, const std::string& b) {
-              const auto sa = parse_era_seq(a);
-              const auto sb = parse_era_seq(b);
-              if (sa.has_value() != sb.has_value()) {
-                return sb.has_value();  // unnumbered names last
-              }
-              if (sa.has_value() && *sa != *sb) {
-                return *sa < *sb;
-              }
-              return a < b;
-            });
-
-  // Whatever happens below, later cold compactions into this directory
-  // must not collide with any file already present — committed or not.
-  for (const std::string& name : names) {
-    if (const auto seq = parse_era_seq(name)) {
-      cold_era_seq_ =
-          std::max(cold_era_seq_, static_cast<std::size_t>(*seq) + 1);
-    }
-  }
-
-  const auto quarantine = [&health](const std::string& file,
-                                    std::string reason) {
-    IOTAXO_LOG(LogLevel::kWarn)
-        << "attach_dir: quarantined '" << file << "': " << reason;
-    health.quarantined.push_back({file, std::move(reason)});
-  };
-
-  // Pass 2: the manifest decides what is committed. A corrupt manifest is
-  // itself quarantined and recovery degrades to open-validation of every
-  // container (the pre-manifest behavior) rather than refusing the
-  // directory.
-  std::optional<StoreManifest> manifest;
-  try {
-    manifest = StoreManifest::load(directory);
-  } catch (const Error& e) {
-    quarantine(std::string(kManifestFileName), e.what());
-  }
-
-  if (manifest.has_value()) {
-    cold_era_seq_ = std::max(
-        cold_era_seq_, static_cast<std::size_t>(manifest->next_seq));
-    std::set<std::string> listed;
-    for (const ManifestEntry& e : manifest->entries) {
-      listed.insert(e.name);
-      const std::string path = directory + "/" + e.name;
-      std::error_code sec;
-      const std::uintmax_t size = fs::file_size(path, sec);
-      if (sec) {
-        quarantine(e.name, "listed in manifest but missing on disk");
-        continue;
-      }
-      if (size != e.size) {
-        quarantine(e.name, "size " + std::to_string(size) +
-                               " != manifest's " + std::to_string(e.size));
-        continue;
-      }
-      try {
-        trace::MappedTraceFile file(path);
-        if (crc32(file.bytes()) != e.crc) {
-          quarantine(e.name, "file CRC does not match the manifest");
-          continue;
-        }
+  StoreDirReport report = recover_store_dir(
+      directory, /*remove_tmps=*/true,
+      [&](const std::string&, trace::MappedTraceFile file,
+          const ManifestEntry*) {
         ingest_view(std::move(file), options.metadata, options.key);
-        ++health.recovered_eras;
-      } catch (const Error& err) {
-        quarantine(e.name, err.what());
-      }
-    }
-    for (const std::string& name : names) {
-      if (listed.find(name) == listed.end()) {
-        quarantine(name,
-                   "not committed in the manifest (crash between era "
-                   "rename and manifest update?)");
-      }
-    }
-  } else {
-    // No trustworthy manifest: serve every container that opens and
-    // validates cleanly, quarantine the rest.
-    for (const std::string& name : names) {
-      try {
-        ingest_view(directory + "/" + name, options.metadata, options.key);
-        ++health.recovered_eras;
-      } catch (const Error& err) {
-        quarantine(name, err.what());
-      }
-    }
+      });
+  // Later cold compactions into this directory must not collide with any
+  // file already present, committed or not.
+  cold_era_seq_ =
+      std::max(cold_era_seq_, static_cast<std::size_t>(report.next_seq));
+  StoreHealth health;
+  health.recovered_eras = report.served;
+  health.torn_tmps_removed = report.tmps.size();
+  health.quarantined = std::move(report.quarantined);
+  for (const std::string& tmp : report.tmps) {
+    IOTAXO_LOG(LogLevel::kInfo)
+        << "attach_dir: removed torn write leftover '" << tmp << "'";
+  }
+  for (const QuarantinedFile& q : health.quarantined) {
+    IOTAXO_LOG(LogLevel::kWarn)
+        << "attach_dir: quarantined '" << q.file << "': " << q.reason;
   }
   metrics().attach_recovered.add(health.recovered_eras);
   metrics().attach_quarantined.add(health.quarantined.size());

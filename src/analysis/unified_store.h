@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "analysis/skew_drift.h"
+#include "analysis/store_manifest.h"
 #include "trace/binary_format.h"
 #include "trace/block_view.h"
 #include "trace/bundle.h"
@@ -296,14 +297,6 @@ struct StorePoolInfo {
   bool operator==(const StorePoolInfo&) const = default;
 };
 
-/// One container attach_dir could not serve, and why. `file` is the name
-/// within the directory (no path components).
-struct QuarantinedFile {
-  std::string file;
-  std::string reason;
-  bool operator==(const QuarantinedFile&) const = default;
-};
-
 /// What attach_dir found and did: the recovery report. The store serves
 /// exactly `recovered_eras` containers; everything in `quarantined` stays
 /// on disk, reported but unserved (nothing but `.tmp` files is deleted).
@@ -424,17 +417,13 @@ class UnifiedTraceStore {
                           const std::map<std::string, std::string>& metadata = {},
                           const std::optional<CipherKey>& key = std::nullopt);
 
-  /// Attach a crash-safe store directory (one the cold tier spills into),
-  /// recovering from whatever a crash left behind: orphaned `<name>.tmp`
-  /// files are deleted, the directory's MANIFEST.iotm (when present)
-  /// decides which containers are committed, and every committed container
-  /// that still matches its recorded size + CRC and opens cleanly is
-  /// ingested zero-copy. Containers that fail any validation — and
-  /// committed-looking files the manifest does not list (a crash between
-  /// the era rename and the manifest rename) — are *quarantined*: reported
-  /// in the returned StoreHealth, left on disk, not served, and never
-  /// aborting the attach. Without a manifest (or with a corrupt one, which
-  /// is itself quarantined) every container that opens cleanly is served.
+  /// Attach a crash-safe store directory (one the cold tier spills into)
+  /// through recover_store_dir (analysis/store_manifest.h): torn `.tmp`
+  /// files are deleted, and every container the walk admits — committed in
+  /// the manifest and matching its size + CRC, or any container when there
+  /// is no trustworthy manifest — is ingested zero-copy if it opens
+  /// cleanly. Everything else is *quarantined*: reported in the returned
+  /// StoreHealth, left on disk, not served, never aborting the attach.
   /// Also advances the cold-era counter past everything seen, so later
   /// cold compactions into the directory cannot collide. Throws IoError
   /// only when the directory itself cannot be read.
@@ -544,9 +533,6 @@ class UnifiedTraceStore {
   void set_query_threads(std::size_t threads) noexcept {
     query_threads_ = threads;
   }
-  [[nodiscard]] std::size_t query_threads() const noexcept {
-    return query_threads_;
-  }
 
   /// Pool-index skips on/off (default on). Results are identical either
   /// way; the off position exists so bench_zero_copy can measure the win.
@@ -560,14 +546,6 @@ class UnifiedTraceStore {
   /// what compact() would have produced from the individual pools.
   void set_stream_ingest(const StreamIngestOptions& options) {
     stream_ = options;
-  }
-  /// Disable streaming ingest, sealing any open era first.
-  void disable_stream_ingest() {
-    seal_open_era();
-    stream_.reset();
-  }
-  [[nodiscard]] bool stream_ingest_enabled() const noexcept {
-    return stream_.has_value();
   }
   /// Close the open era batch (it becomes an ordinary sealed pool that
   /// compact() / the cold tier may merge or spill). Returns whether an open
@@ -588,9 +566,6 @@ class UnifiedTraceStore {
   /// Damage tolerance for queries (ScanPolicy::skip_damaged); default is
   /// fail-fast.
   void set_scan_policy(ScanPolicy policy) noexcept { scan_policy_ = policy; }
-  [[nodiscard]] ScanPolicy scan_policy() const noexcept {
-    return scan_policy_;
-  }
 
   /// Damage skipped by queries so far (grows only under skip_damaged).
   [[nodiscard]] DamageCounters damage_counters() const noexcept {

@@ -12,19 +12,28 @@
 //     store built from the healthy blocks' events alone, and the damage
 //     counters equal exactly the damaged blocks every query touched.
 // Never a crash, a hang, another exception type, or a silent wrong answer.
+//
+// The same sweep runs over a store directory's MANIFEST.iotm: every mutant
+// must attach without throwing, quarantine exactly the manifest, and serve
+// the committed eras by open-validation, answering as the independent
+// reference (perfbench/src/reference.h) folded from their events does.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "analysis/store_manifest.h"
 #include "analysis/unified_store.h"
+#include "perfbench/src/reference.h"
 #include "trace/binary_format.h"
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
 #include "util/error.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace iotaxo::analysis {
@@ -304,6 +313,155 @@ TEST_P(MutationSweep, EveryByteIsRejectedIdenticalOrACountedSkip) {
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(skipped, 0u);
   EXPECT_EQ(rejected + skipped + identical, mutants);
+}
+
+/// Which of the five store answers differ from the reference's, or empty.
+/// Equal byte counts in hottest_files may come back in any order, so rank
+/// i must carry the reference's i-th count and name a file with exactly it.
+[[nodiscard]] std::string differs_from_reference(
+    const UnifiedTraceStore& store, const perfbench::RefStore& ref,
+    SimTime begin, SimTime end, SimTime bucket) {
+  std::string differs;
+  std::map<std::string, CallStats> calls;
+  for (const auto& [name, c] : ref.call_stats()) {
+    calls[name] = {c.count, c.time, c.bytes};
+  }
+  if (store.call_stats() != calls) {
+    differs += " call_stats";
+  }
+  std::vector<TraceEvent> timeline = store.rank_timeline(kRank);
+  perfbench::RefStore::sort_events(timeline);
+  if (timeline != ref.rank_timeline()) {
+    differs += " rank_timeline";
+  }
+  if (store.bytes_in_window(begin, end) != ref.bytes_in_window(begin, end)) {
+    differs += " bytes_in_window";
+  }
+  if (store.io_rate_series(bucket) != ref.io_rate_series(bucket)) {
+    differs += " io_rate_series";
+  }
+  const std::vector<perfbench::RefHeat> heat = ref.hottest_files();
+  const std::vector<FileHeat> got = store.hottest_files(heat.size());
+  bool heat_ok = got.size() == heat.size();
+  for (std::size_t i = 0; heat_ok && i < got.size(); ++i) {
+    heat_ok = got[i].bytes == heat[i].bytes &&
+              std::any_of(heat.begin(), heat.end(), [&](const auto& h) {
+                return h.path == got[i].path && h.ops == got[i].ops &&
+                       h.bytes == got[i].bytes;
+              });
+  }
+  if (!heat_ok) {
+    differs += " hottest_files";
+  }
+  return differs;
+}
+
+TEST(ManifestMutationSweep, EveryByteQuarantinesExactlyTheManifest) {
+  namespace fs = std::filesystem;
+  constexpr int kEras = 3;
+  const std::string dir =
+      strprintf("/tmp/iotaxo_manifest_sweep_%d",
+                ::testing::UnitTest::GetInstance()->random_seed());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  // Three committed eras, one manifest commit each; the reference folds
+  // the same events in store order.
+  perfbench::RefStore ref(kRank);
+  {
+    UnifiedTraceStore store;
+    for (int era = 0; era < kEras; ++era) {
+      std::vector<TraceEvent> events = sweep_events();
+      for (TraceEvent& ev : events) {
+        ev.local_start += era * static_cast<SimTime>(kEvents) * kMillisecond;
+        ref.add(ev);
+      }
+      store.ingest(EventBatch::from_events(events), {{"framework", "test"}});
+    }
+    UnifiedTraceStore::ColdTierOptions cold;
+    cold.directory = dir;
+    cold.binary.checksum = true;
+    cold.block_records = kBlockRecords;
+    ASSERT_EQ(store.compact(1, cold), static_cast<std::size_t>(kEras));
+  }
+  const SimTime begin = kWindowBegin;
+  const SimTime end = kWindowEnd + 2 * static_cast<SimTime>(kEvents) *
+                                        kMillisecond;
+  const std::string manifest_path = dir + "/" + std::string(kManifestFileName);
+  const std::optional<StoreManifest> committed = StoreManifest::load(dir);
+  ASSERT_TRUE(committed.has_value());
+  ASSERT_EQ(committed->entries.size(), static_cast<std::size_t>(kEras));
+  const std::vector<std::uint8_t> healthy = committed->encode();
+  {
+    UnifiedTraceStore store;
+    const StoreHealth health = store.attach_dir(dir);
+    ASSERT_TRUE(health.healthy());
+    ASSERT_EQ(health.recovered_eras, static_cast<std::size_t>(kEras));
+    ASSERT_EQ(differs_from_reference(store, ref, begin, end, kBucket), "");
+  }
+
+  // Every mutant quarantines the manifest; keep its warning off the log.
+  const LogLevel log_level_before = log_level();
+  set_log_level(LogLevel::kError);
+  int failures = 0;
+  const auto fail = [&](std::size_t pos, int how, const std::string& what) {
+    if (++failures <= 10) {
+      ADD_FAILURE() << "manifest byte " << pos << " mutation " << how << ": "
+                    << what;
+    }
+  };
+  std::size_t mutants = 0;
+  for (std::size_t pos = 0; pos < healthy.size(); ++pos) {
+    for (int how = 0; how < 3; ++how) {
+      const std::uint8_t byte =
+          how == 0 ? static_cast<std::uint8_t>(healthy[pos] ^ (1u << (pos % 8)))
+          : how == 1 ? std::uint8_t{0x00}
+                     : std::uint8_t{0xFF};
+      if (byte == healthy[pos]) {
+        continue;
+      }
+      ++mutants;
+      std::vector<std::uint8_t> bytes = healthy;
+      bytes[pos] = byte;
+      {
+        std::FILE* f = std::fopen(manifest_path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+        std::fclose(f);
+      }
+      UnifiedTraceStore store;
+      store.set_query_threads(1);
+      StoreHealth health;
+      try {
+        health = store.attach_dir(dir);
+      } catch (const std::exception& err) {
+        fail(pos, how, std::string("attach_dir threw: ") + err.what());
+        continue;
+      }
+      if (health.quarantined.size() != 1 ||
+          health.quarantined[0].file != kManifestFileName) {
+        fail(pos, how,
+             strprintf("%zu quarantined, not exactly the manifest",
+                       health.quarantined.size()));
+      }
+      if (health.recovered_eras != static_cast<std::size_t>(kEras)) {
+        fail(pos, how, strprintf("%zu eras recovered", health.recovered_eras));
+      }
+      try {
+        const std::string differs =
+            differs_from_reference(store, ref, begin, end, kBucket);
+        if (!differs.empty()) {
+          fail(pos, how, "answers differ from the reference:" + differs);
+        }
+      } catch (const std::exception& err) {
+        fail(pos, how, std::string("query threw: ") + err.what());
+      }
+    }
+  }
+  set_log_level(log_level_before);
+  fs::remove_all(dir);
+  EXPECT_EQ(failures, 0);
+  EXPECT_GT(mutants, 2 * healthy.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

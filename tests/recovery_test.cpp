@@ -3,14 +3,18 @@
 // UnifiedTraceStore::attach_dir recovery — including the crash matrix,
 // which discovers every failpoint the cold-commit path evaluates (via
 // fail::set_tracing) and simulates a process death at each one in turn,
-// asserting that recovery serves exactly the last committed state. Plus
+// asserting that recovery serves exactly the last committed state, and that
+// fsck's walk (the same recover_store_dir with a decode-every-block check)
+// names the same files as attach_dir in every such state. Plus
 // ScanPolicy::skip_damaged: queries and DFG builds over a store with a
 // corrupt block complete over everything healthy with exact damage
 // counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -116,6 +120,16 @@ void write_file(const std::string& path,
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+/// Replace `dir`'s committed entries, under a valid manifest CRC.
+void rewrite_manifest(const std::string& dir,
+                      std::vector<ManifestEntry> entries) {
+  const std::optional<StoreManifest> loaded = StoreManifest::load(dir);
+  ASSERT_TRUE(loaded.has_value()) << dir;
+  StoreManifest manifest = *loaded;
+  manifest.entries = std::move(entries);
+  write_file(dir + "/" + std::string(kManifestFileName), manifest.encode());
 }
 
 // ---------------------------------------------------------------- registry
@@ -242,6 +256,46 @@ TEST(StoreManifest, DecodeRejectsCorruption) {
   }
   EXPECT_THROW(StoreManifest::decode(std::vector<std::uint8_t>(4, 0)),
                FormatError);
+}
+
+/// A CRC-valid manifest listing `names` in order.
+[[nodiscard]] std::vector<std::uint8_t> manifest_naming(
+    const std::vector<std::string>& names) {
+  StoreManifest m;
+  for (const std::string& name : names) {
+    m.entries.push_back({name, 10, 2, m.next_seq++});
+  }
+  return m.encode();
+}
+
+TEST(StoreManifest, DecodeRejectsRepeatedName) {
+  EXPECT_NO_THROW((void)StoreManifest::decode(
+      manifest_naming({"era-0.iotb3", "era-1.iotb3"})));
+  EXPECT_THROW((void)StoreManifest::decode(manifest_naming(
+                   {"era-0.iotb3", "era-1.iotb3", "era-0.iotb3"})),
+               FormatError);
+}
+
+TEST(StoreManifest, DecodeRejectsEmptyName) {
+  EXPECT_THROW((void)StoreManifest::decode(manifest_naming({"era-0.iotb3", ""})),
+               FormatError);
+}
+
+TEST(StoreManifest, DecodeRejectsDotNames) {
+  for (const char* name : {".", ".."}) {
+    EXPECT_THROW((void)StoreManifest::decode(manifest_naming({name})),
+                 FormatError)
+        << name;
+  }
+}
+
+TEST(StoreManifest, DecodeRejectsNamesWithASlash) {
+  for (const char* name :
+       {"sub/era-0.iotb3", "/tmp/era-0.iotb3", "../era-0.iotb3", "era-0/"}) {
+    EXPECT_THROW((void)StoreManifest::decode(manifest_naming({name})),
+                 FormatError)
+        << name;
+  }
 }
 
 TEST(StoreManifest, LoadAbsentReturnsNullopt) {
@@ -418,6 +472,77 @@ TEST(AttachDir, RemovesTornTmps) {
   owned.ingest(EventBatch::from_events(era_events(0, 40)),
                {{"framework", "test"}});
   EXPECT_EQ(all_queries(store), all_queries(owned));
+  std::filesystem::remove_all(dir);
+}
+
+// A manifest listing one era twice is corrupt: served through it, the era
+// would count twice in every query.
+TEST(AttachDir, RepeatedManifestEntryQuarantinesTheManifest) {
+  const std::string dir = make_scratch_dir("attach_repeated");
+  commit_era(dir, 0, 40);
+  commit_era(dir, 1, 40);
+  std::vector<ManifestEntry> entries = StoreManifest::load(dir)->entries;
+  entries.push_back(entries.front());
+  rewrite_manifest(dir, entries);
+
+  UnifiedTraceStore store;
+  const StoreHealth health = store.attach_dir(dir);
+  ASSERT_EQ(health.quarantined.size(), 1u);
+  EXPECT_EQ(health.quarantined[0].file, kManifestFileName);
+  EXPECT_EQ(health.recovered_eras, 2u);  // each era once, by open-validation
+
+  UnifiedTraceStore owned;
+  for (int era = 0; era < 2; ++era) {
+    owned.ingest(EventBatch::from_events(era_events(era, 40)),
+                 {{"framework", "test"}});
+  }
+  EXPECT_EQ(all_queries(store), all_queries(owned));
+  std::filesystem::remove_all(dir);
+}
+
+// A manifest entry naming a path, not a file in the directory, is never
+// followed: the manifest is quarantined and nothing outside is served.
+TEST(AttachDir, ManifestEntryOutsideTheDirectoryIsNotServed) {
+  const std::string dir = make_scratch_dir("attach_path_entry");
+  commit_era(dir, 0, 40);
+  std::filesystem::create_directories(dir + "/sub");
+  std::filesystem::rename(dir + "/era-0.iotb3", dir + "/sub/era-0.iotb3");
+  std::vector<ManifestEntry> entries = StoreManifest::load(dir)->entries;
+  entries.front().name = "sub/era-0.iotb3";
+  rewrite_manifest(dir, entries);
+
+  UnifiedTraceStore store;
+  const StoreHealth health = store.attach_dir(dir);
+  ASSERT_EQ(health.quarantined.size(), 1u);
+  EXPECT_EQ(health.quarantined[0].file, kManifestFileName);
+  EXPECT_EQ(health.recovered_eras, 0u);
+  EXPECT_EQ(store.total_events(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// Without a manifest containers attach in era order: numbered eras by
+// sequence number, then unnumbered names, whatever their spelling.
+TEST(AttachDir, UnnumberedContainersAttachAfterNumberedEras) {
+  const std::string dir = make_scratch_dir("attach_unnumbered");
+  const auto write_container = [&](const std::string& name, int era,
+                                   int count) {
+    write_file(dir + "/" + name,
+               trace::encode_binary_v3(
+                   EventBatch::from_events(era_events(era, count)), {}, 16));
+  };
+  write_container("archive.iotb3", 2, 30);
+  write_container("era-1.iotb3", 1, 20);
+  write_container("era-0.iotb3", 0, 10);
+
+  UnifiedTraceStore store;
+  const StoreHealth health = store.attach_dir(dir);
+  EXPECT_TRUE(health.healthy());
+  ASSERT_EQ(health.recovered_eras, 3u);
+  std::vector<long long> records;
+  for (const StorePoolInfo& info : store.pool_infos()) {
+    records.push_back(info.records);
+  }
+  EXPECT_EQ(records, (std::vector<long long>{10, 20, 30}));
   std::filesystem::remove_all(dir);
 }
 
@@ -637,6 +762,147 @@ TEST(CrashMatrix, ErrorSpecSurfacesIoErrorAndKeepsDirConsistent) {
                {{"framework", "test"}});
   EXPECT_EQ(all_queries(recovered), all_queries(owned));
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------------- fsck's recovery walk
+
+[[nodiscard]] std::vector<std::string> file_names(
+    const std::vector<QuarantinedFile>& quarantined) {
+  std::vector<std::string> names;
+  for (const QuarantinedFile& q : quarantined) {
+    names.push_back(q.file);
+  }
+  return names;
+}
+
+/// Run fsck's walk over `dir` (read-only, every block decoded), then
+/// attach_dir: both must serve and quarantine the same files. fsck may in
+/// addition find uncommitted containers adoptable; those are among the
+/// files both quarantine.
+void expect_fsck_agrees_with_attach(const std::string& dir) {
+  const StoreDirReport fsck = recover_store_dir(
+      dir, /*remove_tmps=*/false,
+      [](const std::string&, trace::MappedTraceFile file,
+         const ManifestEntry*) {
+        const std::vector<std::string> problems =
+            validate_container(file, std::nullopt);
+        if (!problems.empty()) {
+          throw FormatError(problems.front());
+        }
+      });
+  UnifiedTraceStore store;
+  const StoreHealth health = store.attach_dir(dir);
+  EXPECT_EQ(file_names(fsck.quarantined), file_names(health.quarantined));
+  EXPECT_EQ(fsck.served, health.recovered_eras);
+  EXPECT_EQ(fsck.tmps.size(), health.torn_tmps_removed);
+  const std::vector<std::string> quarantined = file_names(health.quarantined);
+  for (const std::string& name : fsck.uncommitted) {
+    EXPECT_NE(std::find(quarantined.begin(), quarantined.end(), name),
+              quarantined.end())
+        << name;
+  }
+}
+
+/// One cold commit of era 1 into `dir` that fails at `point` with `spec`;
+/// the failed process's store dies with it.
+void failed_commit(const std::string& dir, const std::string& point,
+                   const char* spec) {
+  UnifiedTraceStore store;
+  (void)store.attach_dir(dir);
+  store.ingest(EventBatch::from_events(era_events(1, 40)),
+               {{"framework", "test"}});
+  fail::configure(point, spec);
+  try {
+    (void)store.compact(static_cast<std::size_t>(-1), cold_options(dir));
+    ADD_FAILURE() << point << "=" << spec << " did not fail the commit";
+  } catch (const fail::CrashError&) {
+  } catch (const IoError&) {
+  }
+  fail::clear();
+}
+
+TEST(FsckWalk, NamesTheSameFilesAsAttachDir) {
+  FailpointGuard guard;
+  // Each AttachDir fixture: one directory state built by `make`.
+  const std::vector<std::pair<const char*, std::function<void(const std::string&)>>>
+      fixtures = {
+          {"empty", [](const std::string&) {}},
+          {"committed",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             commit_era(dir, 1, 40);
+           }},
+          {"corrupt_era",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             commit_era(dir, 1, 40);
+             std::vector<std::uint8_t> bytes = read_file(dir + "/era-1.iotb3");
+             bytes[bytes.size() / 2] ^= 0x01;
+             write_file(dir + "/era-1.iotb3", bytes);
+           }},
+          {"unlisted",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             write_file(dir + "/era-9.iotb3",
+                        trace::encode_binary_v3(
+                            EventBatch::from_events(era_events(9, 16)), {}, 16));
+           }},
+          {"corrupt_manifest",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             commit_era(dir, 1, 40);
+             const std::string path =
+                 dir + "/" + std::string(kManifestFileName);
+             std::vector<std::uint8_t> bytes = read_file(path);
+             bytes[bytes.size() - 2] ^= 0xFF;
+             write_file(path, bytes);
+           }},
+          {"torn_tmp",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             failed_commit(dir, "store.cold.write", "torn:40");
+           }},
+          {"missing_era",
+           [](const std::string& dir) {
+             commit_era(dir, 0, 40);
+             commit_era(dir, 1, 40);
+             std::filesystem::remove(dir + "/era-0.iotb3");
+           }},
+      };
+  for (const auto& [name, make] : fixtures) {
+    SCOPED_TRACE(name);
+    const std::string dir = make_scratch_dir("fsck_walk");
+    make(dir);
+    expect_fsck_agrees_with_attach(dir);
+    std::filesystem::remove_all(dir);
+  }
+
+  // Each CrashMatrix end state: a crash at every failpoint of the commit
+  // protocol, torn era writes at several widths, and an error spec.
+  const std::string trace_dir = make_scratch_dir("fsck_walk_trace");
+  commit_era(trace_dir, 0, 40);
+  fail::set_tracing(true);
+  commit_era(trace_dir, 1, 40);
+  const std::vector<std::string> points = fail::traced_points();
+  fail::set_tracing(false);
+  std::filesystem::remove_all(trace_dir);
+  ASSERT_FALSE(points.empty());
+  std::vector<std::pair<std::string, const char*>> failures;
+  for (const std::string& point : points) {
+    failures.emplace_back(point, "crash");
+  }
+  for (const char* spec : {"torn:0", "torn:1", "torn:100"}) {
+    failures.emplace_back("store.cold.write", spec);
+  }
+  failures.emplace_back("store.cold.fsync", "error");
+  for (const auto& [point, spec] : failures) {
+    SCOPED_TRACE(point + "=" + spec);
+    const std::string dir = make_scratch_dir("fsck_walk_crash");
+    commit_era(dir, 0, 40);
+    failed_commit(dir, point, spec);
+    expect_fsck_agrees_with_attach(dir);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ------------------------------------------------------------ skip_damaged

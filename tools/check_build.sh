@@ -17,7 +17,10 @@
 #                                               # recovery suites, then
 #                                               # assert failpoints are inert
 #                                               # without IOTAXO_FAILPOINTS
-#                                               # and armable through it
+#                                               # and armable through it, and
+#                                               # that fsck and the restart
+#                                               # agree on a damaged store
+#                                               # directory
 #   ./tools/check_build.sh --metrics [build-dir]# build + the self-metrics
 #                                               # suite, then assert metrics
 #                                               # are inert when disarmed and
@@ -163,6 +166,48 @@ case "${MODE}" in
       --framework lanl --workload mpiio --ranks 2 \
       --binary-out "${FAULT_TMP}/x.iotb3" > /dev/null
     "${BUILD_DIR}/iotaxo_cli" fsck "${FAULT_TMP}/x.iotb3"
+    # Store-directory smoke: fsck and the restart share one recovery walk.
+    # Commit eras with `stream`, damage one, and fsck must name it; after
+    # `fsck --repair` drops it from the manifest, the restart serves every
+    # other era and quarantines exactly the damaged file, as uncommitted.
+    STORE="${FAULT_TMP}/store"
+    "${BUILD_DIR}/iotaxo_cli" stream --dir "${STORE}" --flushes 200 \
+      --events 50 --era-bytes 65536 > "${FAULT_TMP}/stream.out"
+    ERAS="$(sed -nE 's/^eras committed +: ([0-9]+) .*/\1/p' "${FAULT_TMP}/stream.out")"
+    if [[ -z "${ERAS}" || "${ERAS}" -lt 3 ]]; then
+      echo "FAULTS FAIL: stream committed ${ERAS:-?} eras (want >= 3)"
+      cat "${FAULT_TMP}/stream.out"
+      exit 1
+    fi
+    VICTIM="${STORE}/era-1.iotb3"
+    OFFSET=$(( $(stat -c %s "${VICTIM}") / 2 ))
+    BYTE="$(od -An -tu1 -j "${OFFSET}" -N1 "${VICTIM}" | tr -d ' ')"
+    printf "$(printf '\\%03o' $(( BYTE ^ 1 )))" |
+      dd of="${VICTIM}" bs=1 seek="${OFFSET}" conv=notrunc status=none
+    FSCK_STATUS=0
+    "${BUILD_DIR}/iotaxo_cli" fsck "${STORE}" > "${FAULT_TMP}/fsck.out" ||
+      FSCK_STATUS=$?
+    if [[ "${FSCK_STATUS}" -ne 1 ]] ||
+        ! grep -q '^quarantined *: era-1.iotb3 ' "${FAULT_TMP}/fsck.out"; then
+      echo "FAULTS FAIL: fsck exited ${FSCK_STATUS} without naming era-1.iotb3"
+      cat "${FAULT_TMP}/fsck.out"
+      exit 1
+    fi
+    "${BUILD_DIR}/iotaxo_cli" fsck --repair "${STORE}" > /dev/null || true
+    ATTACH_STATUS=0
+    "${BUILD_DIR}/iotaxo_cli" stream --dir "${STORE}" --attach \
+      > "${FAULT_TMP}/attach.out" || ATTACH_STATUS=$?
+    ATTACHED="$(sed -nE 's/^attached +: ([0-9]+) container.*/\1/p' "${FAULT_TMP}/attach.out")"
+    QUARANTINED="$(grep -c '^quarantined' "${FAULT_TMP}/attach.out" || true)"
+    if [[ "${ATTACH_STATUS}" -ne 1 || "${ATTACHED}" != "$(( ERAS - 1 ))" ||
+          "${QUARANTINED}" -ne 1 ]] ||
+        ! grep -q '^quarantined *: era-1.iotb3 .*not committed' \
+          "${FAULT_TMP}/attach.out"; then
+      echo "FAULTS FAIL: restart after repair did not serve $(( ERAS - 1 )) eras and quarantine only era-1.iotb3 as uncommitted"
+      cat "${FAULT_TMP}/attach.out"
+      exit 1
+    fi
+    echo "faults ok: fsck named the damaged era; after repair the restart served ${ATTACHED} of ${ERAS} eras"
     ;;
   metrics)
     BUILD_DIR="${1:-${REPO_ROOT}/build}"

@@ -17,6 +17,10 @@
 //   iotaxo stream   --dir DIR [--flushes N] [--events N]
 //                   [--era-bytes BYTES] [--attach]
 //
+// `stream` commits its eras into DIR through the store's cold tier, with a
+// MANIFEST.iotm, and `stream --attach` restarts from that manifest; `fsck
+// DIR` checks such a directory with the same recovery walk.
+//
 // Bundles are the on-disk trace format (one text trace per rank plus TSV
 // sidecars) produced by `trace --out` and consumed by replay/analyze/
 // anonymize — the full LANL trace-distribution workflow from one binary.
@@ -770,77 +774,16 @@ int cmd_anonymize(const Args& args) {
   return 0;
 }
 
-/// Era sequence number from a container name ("era-7.iotb3" -> 7), used to
-/// keep fsck's report and repaired manifest in on-disk commit order.
-[[nodiscard]] std::optional<std::uint64_t> parse_era_seq(
-    const std::string& name) {
-  const std::string stem = std::filesystem::path(name).stem().string();
-  const std::size_t dash = stem.rfind('-');
-  if (dash == std::string::npos || dash + 1 == stem.size()) {
-    return std::nullopt;
-  }
-  std::uint64_t seq = 0;
-  for (std::size_t i = dash + 1; i < stem.size(); ++i) {
-    if (stem[i] < '0' || stem[i] > '9') {
-      return std::nullopt;
-    }
-    seq = seq * 10 + static_cast<std::uint64_t>(stem[i] - '0');
-  }
-  return seq;
-}
-
-/// Deep-validate one container: envelope, footer, and every block's CRC
-/// (decoding each block exactly once — for projected v3 both column
-/// groups). Returns the list of problems; empty means healthy.
-[[nodiscard]] std::vector<std::string> validate_container(
-    const trace::MappedTraceFile& file, const std::optional<CipherKey>& key) {
-  std::vector<std::string> problems;
-  trace::BinaryHeader header;
-  try {
-    header = trace::peek_binary_header(file.bytes());
-  } catch (const Error& err) {
-    problems.emplace_back(err.what());
-    return problems;
-  }
-  if (header.version == 3) {
-    std::optional<trace::BlockView> view;
-    try {
-      view.emplace(file.bytes(), key);
-    } catch (const Error& err) {
-      // Envelope, head, footer, or key check — nothing block-level is
-      // reachable past this.
-      problems.emplace_back(err.what());
-      return problems;
-    }
-    for (std::size_t b = 0; b < view->block_count(); ++b) {
-      try {
-        (void)view->block_bytes(b);
-      } catch (const Error& err) {
-        problems.push_back(strprintf("block %zu: %s", b, err.what()));
-      }
-    }
-    return problems;
-  }
-  // v1/v2 have no zero-copy validator; a full decode exercises every
-  // checksum and length field they carry.
-  try {
-    (void)trace::decode_binary_batch(file.bytes(), key);
-  } catch (const Error& err) {
-    problems.emplace_back(err.what());
-  }
-  return problems;
-}
-
-// `fsck` is the offline half of the store's crash-recovery story: where
-// UnifiedTraceStore::attach_dir quarantines just enough to serve queries,
-// fsck decodes *every block of every container* against its CRC and checks
-// each committed file against the manifest's size/checksum/seq record.
-// Plain runs are read-only and exit non-zero when anything is damaged;
-// `--repair` removes orphaned .tmp files and rewrites MANIFEST.iotm to
-// commit exactly the containers that validated (adopting healthy files a
-// crash left uncommitted, dropping damaged ones into quarantine).
+// `fsck` is the offline half of the store's crash-recovery story. It runs
+// the recovery walk UnifiedTraceStore::attach_dir runs
+// (analysis::recover_store_dir), so both name the same files; where attach
+// only opens each container, fsck's check decodes *every block of every
+// container* against its CRC. Plain runs are read-only and exit non-zero
+// when anything is damaged, uncommitted or left torn; `--repair` removes
+// orphaned .tmp files and rewrites MANIFEST.iotm to commit exactly the
+// containers that validated (adopting valid files a crash left
+// uncommitted, dropping damaged ones into quarantine).
 int cmd_fsck(const Args& args) {
-  namespace fs = std::filesystem;
   if (args.positional.empty()) {
     return usage();
   }
@@ -848,9 +791,10 @@ int cmd_fsck(const Args& args) {
   const std::optional<CipherKey> key = key_from_args(args);
   const bool repair = !args.get("repair").empty();
 
-  if (!fs::is_directory(target)) {
+  if (!std::filesystem::is_directory(target)) {
     const trace::MappedTraceFile file(target);
-    const std::vector<std::string> problems = validate_container(file, key);
+    const std::vector<std::string> problems =
+        analysis::validate_container(file, key);
     if (problems.empty()) {
       std::printf("%s: ok (%s, every block CRC verified)\n", target.c_str(),
                   format_bytes(static_cast<Bytes>(file.size())).c_str());
@@ -862,136 +806,76 @@ int cmd_fsck(const Args& args) {
     return 1;
   }
 
-  // Directory sweep, mirroring attach_dir's recovery walk.
-  std::vector<std::string> tmps;
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(target, ec)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      tmps.push_back(name);
-    } else if (name != analysis::kManifestFileName &&
-               entry.path().extension().string().rfind(".iotb", 0) == 0) {
-      names.push_back(name);
-    }
-  }
-  if (ec) {
-    throw IoError("cannot read directory '" + target + "': " + ec.message());
-  }
-  std::sort(tmps.begin(), tmps.end());
-  std::sort(names.begin(), names.end(),
-            [](const std::string& a, const std::string& b) {
-              const auto sa = parse_era_seq(a);
-              const auto sb = parse_era_seq(b);
-              if (sa.has_value() != sb.has_value()) {
-                return sa.has_value();  // unnumbered files sort last
-              }
-              if (sa.has_value() && *sa != *sb) {
-                return *sa < *sb;
-              }
-              return a < b;
-            });
-
-  std::optional<analysis::StoreManifest> manifest;
-  std::vector<analysis::QuarantinedFile> quarantined;
-  try {
-    manifest = analysis::StoreManifest::load(target);
-  } catch (const Error& err) {
-    quarantined.push_back({std::string(analysis::kManifestFileName),
-                           std::string(err.what())});
-  }
-
-  // Deep-validate everything present, recording what a repaired manifest
-  // should commit. Committed entries are additionally checked against the
-  // manifest's recorded size and whole-file CRC.
-  std::size_t healthy = 0;
+  // Every container that validates joins what a repaired manifest commits:
+  // committed ones under their manifest entry, others adopted.
   std::vector<analysis::ManifestEntry> committable;
-  std::uint64_t next_seq = manifest.has_value() ? manifest->next_seq : 0;
-  for (const std::string& name : names) {
-    const std::string path = target + "/" + name;
-    const analysis::ManifestEntry* listed =
-        manifest.has_value() ? manifest->find(name) : nullptr;
-    std::vector<std::string> problems;
-    std::uint32_t file_crc = 0;
-    std::uint64_t file_size = 0;
-    try {
-      const trace::MappedTraceFile file(path);
-      file_size = file.size();
-      file_crc = crc32(file.bytes());
-      if (listed != nullptr && listed->size != file_size) {
-        problems.push_back(strprintf(
-            "size %llu does not match the manifest's %llu",
-            static_cast<unsigned long long>(file_size),
-            static_cast<unsigned long long>(listed->size)));
-      } else if (listed != nullptr && listed->crc != file_crc) {
-        problems.emplace_back("file CRC does not match the manifest");
-      }
-      const std::vector<std::string> deep = validate_container(file, key);
-      problems.insert(problems.end(), deep.begin(), deep.end());
-    } catch (const Error& err) {
-      problems.emplace_back(err.what());
-    }
+  const auto validate = [&](const std::string& name,
+                            trace::MappedTraceFile file,
+                            const analysis::ManifestEntry* committed) {
+    const std::vector<std::string> problems =
+        analysis::validate_container(file, key);
     if (!problems.empty()) {
-      std::string reason;
-      for (const std::string& p : problems) {
-        reason += (reason.empty() ? "" : "; ") + p;
-      }
-      quarantined.push_back({name, reason});
-      continue;
+      throw FormatError(join(problems, "; "));
     }
-    ++healthy;
-    const std::uint64_t seq =
-        listed != nullptr ? listed->seq
-                          : parse_era_seq(name).value_or(next_seq);
-    committable.push_back({name, file_size, file_crc, seq});
-    next_seq = std::max(next_seq, seq + 1);
-    if (listed == nullptr && manifest.has_value() && !repair) {
-      std::printf("note             : %s validates but is not committed in "
-                  "the manifest (crash before the manifest update?); "
-                  "--repair adopts it\n",
-                  name.c_str());
+    committable.push_back(committed != nullptr
+                              ? *committed
+                              : analysis::ManifestEntry{
+                                    name, file.size(), crc32(file.bytes()), 0});
+  };
+  analysis::StoreDirReport report =
+      analysis::recover_store_dir(target, repair, validate);
+  std::vector<std::string> adoptable;
+  for (const std::string& name : report.uncommitted) {
+    try {
+      validate(name, trace::MappedTraceFile(target + "/" + name), nullptr);
+      adoptable.push_back(name);
+    } catch (const Error& err) {
+      for (analysis::QuarantinedFile& q : report.quarantined) {
+        if (q.file == name) {
+          q.reason += std::string("; ") + err.what();
+        }
+      }
     }
   }
-  if (manifest.has_value()) {
-    for (const analysis::ManifestEntry& e : manifest->entries) {
-      if (!fs::exists(target + "/" + e.name)) {
-        quarantined.push_back(
-            {e.name, "listed in manifest but missing on disk"});
-      }
+  std::uint64_t next_seq = report.next_seq;
+  for (analysis::ManifestEntry& e : committable) {
+    if (!report.manifest.has_value() ||
+        report.manifest->find(e.name) == nullptr) {
+      e.seq = analysis::parse_era_seq(e.name).value_or(next_seq);
+      next_seq = std::max(next_seq, e.seq + 1);
     }
   }
 
+  const bool manifest_corrupt =
+      !report.quarantined.empty() &&
+      report.quarantined.front().file == analysis::kManifestFileName;
   std::printf("directory        : %s\n", target.c_str());
   std::printf("manifest         : %s\n",
-              manifest.has_value()
+              report.manifest.has_value()
                   ? strprintf("%zu committed entr%s, next era seq %llu",
-                              manifest->entries.size(),
-                              manifest->entries.size() == 1 ? "y" : "ies",
+                              report.manifest->entries.size(),
+                              report.manifest->entries.size() == 1 ? "y"
+                                                                   : "ies",
                               static_cast<unsigned long long>(
-                                  manifest->next_seq)).c_str()
-                  : (quarantined.empty() || quarantined.front().file !=
-                                                analysis::kManifestFileName
-                         ? "absent"
-                         : "CORRUPT"));
+                                  report.manifest->next_seq)).c_str()
+                  : (manifest_corrupt ? "CORRUPT" : "absent"));
   std::printf("healthy          : %zu container(s), every block CRC "
               "verified\n",
-              healthy);
-  for (const std::string& tmp : tmps) {
+              committable.size());
+  for (const std::string& tmp : report.tmps) {
     std::printf("torn tmp         : %s%s\n", tmp.c_str(),
                 repair ? " (removed)" : "");
   }
-  for (const analysis::QuarantinedFile& q : quarantined) {
+  for (const analysis::QuarantinedFile& q : report.quarantined) {
     std::printf("quarantined      : %s — %s\n", q.file.c_str(),
                 q.reason.c_str());
   }
+  for (const std::string& name : adoptable) {
+    std::printf("adoptable        : %s validates%s\n", name.c_str(),
+                repair ? " (adopted)" : "; --repair adopts it");
+  }
 
   if (repair) {
-    for (const std::string& tmp : tmps) {
-      fs::remove(target + "/" + tmp);
-    }
     analysis::StoreManifest repaired;
     repaired.next_seq = next_seq;
     repaired.entries = std::move(committable);
@@ -1002,18 +886,19 @@ int cmd_fsck(const Args& args) {
                 repaired.entries.size() == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(repaired.next_seq));
   }
-  return quarantined.empty() && tmps.empty() ? 0 : 1;
+  return report.quarantined.empty() && report.tmps.empty() ? 0 : 1;
 }
 
 // `stream` exercises the streaming-ingest path end to end, and is the
 // driver behind check_build.sh --stream. The capture half synthesizes
 // --flushes small flushes (--events each) and feeds them through a
-// streaming store — the pool table printed at the end shows the open era
-// and how few pools the flush storm produced — while mirroring the same
-// records into era-sized checksummed IOTB3 containers written to --dir.
-// The --attach half is the restart: a fresh store attaches the directory,
-// building every pool index from the container footers, and the "blocks
-// decoded" line shows that no record block was touched to do it.
+// streaming store — the pool table printed shows the open era and how few
+// pools the flush storm produced — then commits the store's eras to --dir
+// through the cold tier: checksummed IOTB3 era containers plus the
+// MANIFEST.iotm that commits them. The --attach half is the restart: a
+// fresh store attaches the directory through that manifest, building every
+// pool index from the container footers, and the "blocks decoded" line
+// shows that no record block was touched to do it.
 int cmd_stream(const Args& args) {
   const std::string dir = args.get("dir");
   if (dir.empty()) {
@@ -1033,6 +918,10 @@ int cmd_stream(const Args& args) {
     };
     std::printf("attached         : %zu container(s), %zu quarantined\n",
                 health.recovered_eras, health.quarantined.size());
+    for (const analysis::QuarantinedFile& q : health.quarantined) {
+      std::printf("quarantined      : %s — %s\n", q.file.c_str(),
+                  q.reason.c_str());
+    }
     std::printf("pools            : %zu\n", store.pool_count());
     std::printf("blocks decoded   : %llu\n",
                 static_cast<unsigned long long>(
@@ -1053,21 +942,6 @@ int cmd_stream(const Args& args) {
   sopts.era_bytes = era_bytes;
   store.set_stream_ingest(sopts);
 
-  trace::BinaryOptions bopts;
-  bopts.checksum = true;
-  trace::EventBatch era_batch;
-  std::size_t eras_written = 0;
-  const auto write_era = [&] {
-    if (era_batch.empty()) {
-      return;
-    }
-    trace::write_binary_file(
-        strprintf("%s/era-%zu.iotb3", dir.c_str(), eras_written),
-        trace::encode_binary_v3(era_batch, bopts));
-    era_batch.reset();
-    ++eras_written;
-  };
-
   SimTime now = 0;
   for (std::size_t f = 0; f < flushes; ++f) {
     trace::EventBatch flush;
@@ -1086,21 +960,19 @@ int cmd_stream(const Args& args) {
       flush.append(ev);
     }
     store.ingest(flush, {{"framework", "stream"}, {"application", "smoke"}});
-    era_batch.append(flush);
-    // Seal the on-disk era at the same granularity the store seals its
-    // open batch: 81 bytes of fixed record plus change per event.
-    if (era_batch.size() * 96 >= era_bytes) {
-      write_era();
-    }
   }
-  write_era();
 
   std::printf("flushes          : %zu of %zu event(s)\n", flushes, events);
   std::printf("pools            : %zu (open era included)\n",
               store.pool_count());
-  std::printf("era files        : %zu written to %s (IOTB3, checksummed)\n",
-              eras_written, dir.c_str());
   print_pool_table(store);
+
+  analysis::UnifiedTraceStore::ColdTierOptions cold;
+  cold.directory = dir;
+  cold.binary.checksum = true;
+  const std::size_t eras = store.compact(era_bytes, cold);
+  std::printf("eras committed   : %zu to %s (IOTB3, checksummed; %s)\n", eras,
+              dir.c_str(), std::string(analysis::kManifestFileName).c_str());
   return 0;
 }
 
